@@ -12,9 +12,8 @@ apart from wall times.
 Trials are independent; with ``parallelism > 1`` they run in worker processes
 and the output is ordered by trial index, independent of scheduling.  A trial
 that raises a numerical error becomes a ``valid=false`` row instead of
-aborting the campaign, and trials slower than ten times the median of the
-first five are likewise marked invalid (a guard against pathological
-bisection brackets, not a precise watchdog).
+aborting the campaign.  Validity depends on the configuration and the seed
+only, never on how long a trial took.
 """
 
 from __future__ import annotations
@@ -423,13 +422,6 @@ def run_experiment(
 
     records = [results[i][0] for i in range(config.trials)]
     samples = [results[i][1] for i in range(config.trials)]
-
-    if config.trials > 5:
-        # soft per-trial timeout: ten times the pilot median
-        limit = 10.0 * float(np.median([records[i].wall_time_ms for i in range(5)]))
-        for rec in records[5:]:
-            if rec.wall_time_ms > limit:
-                rec.valid = False
 
     _, params = _rebuild_theory(sidecar)
     usable = [

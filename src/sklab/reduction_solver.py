@@ -12,10 +12,22 @@ reduction holds for ``|u_n| < |alpha| < 1``; for ``|alpha| <= |u_n|`` the
 supremum plateaus at ``lam_max`` (up to an explicit error bound), and for
 ``|alpha| = 1`` the section is the single point ``sigma = alpha u``.
 
-Everything here is exact at finite n — no limit-theory input.  The full
-ground-state solvers scan the overlap (and radius, on the ball) on a grid and
-polish with golden-section search; an independent projected-gradient oracle is
-provided as an equality witness for tests.
+Dual stationarity, ``alpha^2 = s(l)^2 / (-s'(l))``, is the secular equation
+of the trust-region subproblem: it turns the dual regime into a curve traced
+by ``l`` itself::
+
+    |alpha|(l) = s / sqrt(-s'),    inner(l) = l + s / s'
+
+As ``l`` runs from ``lam_max`` to infinity, ``|alpha|(l)`` rises
+monotonically from ``|u_n|`` to 1.  The ground-state solvers therefore search
+along ``t = log(l - lam_max)``, once per sign of the overlap, each point one
+O(n) pass of the resolvent moments, with the plateau and the degenerate
+section as closed-form side candidates.  The per-overlap API
+(:func:`inner_max`, :func:`dual_minimize`) finds the point of the same curve
+where ``|alpha|(l)`` equals the requested overlap.
+
+Everything here is exact at finite n — no limit-theory input.  An independent
+projected-gradient oracle is provided as an equality witness for tests.
 """
 
 from __future__ import annotations
@@ -26,9 +38,10 @@ from typing import Literal
 
 import numpy as np
 from scipy.linalg import null_space
+from scipy.optimize import brentq
 
-from .rmt_core import GoeSample
-from .theory_engine import RadialSpec, SpikeSpec
+from .rmt_core import GoeSample, resolvent_moment
+from .theory_engine import RadialSpec, SpikeSpec, golden_max, grid_golden_max
 
 __all__ = [
     "DegenerateOverlapError",
@@ -47,13 +60,14 @@ __all__ = [
 
 Regime = Literal["dual", "plateau", "degenerate"]
 
-#: relative pole-offset guard for the dual variable
+#: relative pole-offset guard for the dual variable: the near end of the curve
 _POLE_GUARD = 1e-13
-#: relative bracket-width stopping rule for the dual bisection
-_BISECT_TOL = 1e-12
-#: golden-section target width for overlap/radius refinement
-_GOLDEN_TOL = 1e-10
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: relative far end of the curve, where 1 - |alpha| is of order 1e-12
+_CURVE_FAR = 1e6
+#: scan points along the curve, uniform in t = log(l - lam_max)
+_CURVE_POINTS = 401
+#: scan points per radial interval on the ball
+_RADIUS_POINTS = 201
 
 
 class PlateauRegimeError(ValueError):
@@ -103,77 +117,35 @@ class BallSolve:
 
 
 # ---------------------------------------------------------------------------
-# Dual minimization
+# The dual curve
 
 
-def _slope_batch(
-    lam: np.ndarray, w2: np.ndarray, alpha2: np.ndarray, l: np.ndarray
-) -> np.ndarray:
-    """Derivative of the dual objective, 1 + alpha^2 s'(l)/s(l)^2, vectorized in l."""
-    out = np.empty_like(l)
-    chunk = max(1, int(4e6) // max(1, lam.size))
-    for a in range(0, l.size, chunk):
-        b = min(a + chunk, l.size)
-        inv = 1.0 / (l[a:b, None] - lam[None, :])
-        s = inv @ w2
-        sp = (inv * inv) @ w2  # equals -s'
-        out[a:b] = 1.0 - alpha2[a:b] * sp / (s * s)
-    return out
+def _curve_span(lam: np.ndarray) -> tuple[float, float]:
+    """Range of ``t = log(l - lam_max)`` covered by the curve: pole guard to far end."""
+    scale = max(1.0, abs(float(lam[-1])))
+    return math.log(_POLE_GUARD * scale), math.log(_CURVE_FAR * scale)
 
 
-def _dual_value(lam: np.ndarray, w2: np.ndarray, alpha2: np.ndarray, l: np.ndarray):
-    inv = 1.0 / (l[:, None] - lam[None, :])
-    s = inv @ w2
-    return l - alpha2 / s
-
-
-def _dual_minimize_batch(
-    lam: np.ndarray, w2: np.ndarray, alphas: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized bisection on the dual derivative for overlaps in the dual regime.
-
-    Brackets start at the pole guard and a unit offset; the right end doubles
-    until the derivative is positive.  Stops when every bracket width is below
-    ``1e-12 * max(1, l)``.
-    """
-    alpha2 = alphas**2
-    top = lam[-1]
-    guard = _POLE_GUARD * max(1.0, abs(top))
-    lo = np.full(alphas.shape, top + guard)
-    slope_lo = _slope_batch(lam, w2, alpha2, lo)
-    # roots inside the guard zone: pin to the guard point (continuous extension)
-    pinned = slope_lo >= 0.0
-
-    off = np.ones_like(alphas)
-    for _ in range(200):
-        hi = top + off
-        pos = _slope_batch(lam, w2, alpha2, hi) > 0.0
-        if np.all(pos | pinned):
-            break
-        off = np.where(pos | pinned, off, 2.0 * off)
-    hi = top + off
-
-    lo_b = lo.copy()
-    hi_b = np.where(pinned, lo, hi)
-    for _ in range(200):
-        width = hi_b - lo_b
-        mid = 0.5 * (lo_b + hi_b)
-        if np.all(width <= _BISECT_TOL * np.maximum(1.0, np.abs(mid))):
-            break
-        slope = _slope_batch(lam, w2, alpha2, mid)
-        neg = slope <= 0.0
-        lo_b = np.where(neg & ~pinned, mid, lo_b)
-        hi_b = np.where(~neg & ~pinned, mid, hi_b)
-    l_star = np.where(pinned, lo, 0.5 * (lo_b + hi_b))
-    return l_star, _dual_value(lam, w2, alpha2, l_star)
+def _curve(lam: np.ndarray, w2: np.ndarray, t):
+    """Points of the dual curve at ``t`` (scalar or array): ``(l, |alpha|, inner)``."""
+    l = lam[-1] + np.exp(t)
+    s = resolvent_moment(lam, w2, l, 1)
+    p = resolvent_moment(lam, w2, l, 2)  # equals -s'
+    # near the pole l - s/p rounds to within an ulp of lam_max, which the
+    # inner maximum never exceeds
+    return l, s / np.sqrt(p), np.minimum(l - s / p, lam[-1])
 
 
 def dual_minimize(sample: GoeSample, alpha: float) -> tuple[float, float]:
     """Minimize the dual objective ``l - alpha^2/s(l)`` over ``l > lam_max``.
 
-    Returns ``(l_star, value)``.  Requires the dual regime
-    ``|u_n| < |alpha| < 1``; otherwise raises ``PlateauRegimeError`` or
-    ``DegenerateOverlapError`` so the caller can dispatch to the closed form.
+    Returns ``(l_star, value)``.  The minimizer is the point of the dual curve
+    with ``|alpha|(l) = |alpha|``, found by Brent's method in
+    ``t = log(l - lam_max)``; an overlap the curve reaches only inside the
+    pole guard (or past its far end) is pinned to that end.  Requires the
+    dual regime ``|u_n| < |alpha| < 1``; otherwise raises
+    ``PlateauRegimeError`` or ``DegenerateOverlapError`` so the caller can
+    dispatch to the closed form.
     """
     a = abs(float(alpha))
     if a >= 1.0:
@@ -183,11 +155,17 @@ def dual_minimize(sample: GoeSample, alpha: float) -> tuple[float, float]:
         raise PlateauRegimeError(
             f"|alpha|={a} <= |u_n|={u_n}: the maximum plateaus at lam_max"
         )
-    w2 = sample.u**2
-    l_star, value = _dual_minimize_batch(
-        sample.eigenvalues, w2, np.array([float(alpha)])
-    )
-    return float(l_star[0]), float(value[0])
+    lam, w2 = sample.eigenvalues, sample.u**2
+    t_lo, t_hi = _curve_span(lam)
+    excess = lambda t: float(_curve(lam, w2, t)[1]) - a
+    if excess(t_lo) >= 0.0:
+        t = t_lo
+    elif excess(t_hi) <= 0.0:
+        t = t_hi
+    else:
+        t = brentq(excess, t_lo, t_hi, xtol=1e-14)
+    l_star = float(lam[-1]) + math.exp(t)
+    return l_star, l_star - a * a / float(resolvent_moment(lam, w2, l_star, 1))
 
 
 def _degenerate_value(sample: GoeSample) -> float:
@@ -231,8 +209,7 @@ def recover_maximizer(sample: GoeSample, alpha: float, l_star: float) -> np.ndar
     lam = sample.eigenvalues
     if l_star <= lam[-1]:
         raise StationarityError(f"l_star={l_star} does not exceed lam_max={lam[-1]}")
-    gaps = l_star - lam
-    s = float(np.sum(sample.u**2 / gaps))
+    s = float(resolvent_moment(lam, sample.u**2, l_star, 1))
     r = -2.0 * alpha / s
     sigma = r * sample.u / (2.0 * (lam - l_star))
     norm2 = float(sigma @ sigma)
@@ -245,59 +222,47 @@ def recover_maximizer(sample: GoeSample, alpha: float, l_star: float) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# Grid + golden-section outer maximization
+# Ground states: one search along the curve per overlap sign
 
 
-def _golden_max(fun, lo: float, hi: float, tol: float = _GOLDEN_TOL):
-    """Golden-section maximization on [lo, hi]; returns (x_best, f_best).
+def _best_state(sample: GoeSample, point, scan):
+    """Maximize an objective of the inner state ``(alpha, inner value)``.
 
-    Endpoints are always candidates, so a boundary maximum is never lost.
+    ``point(alpha, inner)`` is the objective; ``scan`` evaluates it on arrays,
+    or a lower bound of it that ranks grid points the same way.  Candidates:
+
+    * per overlap sign, the curve ``(+-|alpha|(l), inner(l))``, scanned on
+      ``_CURVE_POINTS`` values of ``t = log(l - lam_max)`` and refined around
+      its three best by golden-section search;
+    * the plateau ``|alpha| <= |u_n|`` at inner value ``lam_max`` (its ends are
+      the limits of the curve at the pole);
+    * the degenerate sections ``alpha = +-1``.
+
+    Returns ``(value, alpha, inner, l_star, regime)``.  Exact ties go to the
+    plateau and degenerate states, which the curve reaches only in its limits,
+    then to the smaller overlap.
     """
-    a, b = float(lo), float(hi)
-    best_x, best_f = a, fun(a)
-    fb_end = fun(b)
-    if fb_end > best_f:
-        best_x, best_f = b, fb_end
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(300):
-        if b - a <= tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = fun(d)
-    for x, fx in ((c, fc), (d, fd)):
-        if fx > best_f:
-            best_x, best_f = x, fx
-    return best_x, best_f
-
-
-def _inner_values_on_grid(sample: GoeSample, alphas: np.ndarray) -> np.ndarray:
-    """inner_max values for a whole overlap grid, batching the dual regime."""
-    lam = sample.eigenvalues
-    w2 = sample.u**2
+    lam, w2 = sample.eigenvalues, sample.u**2
+    top = float(lam[-1])
     u_n = abs(float(sample.u[-1]))
-    vals = np.empty_like(alphas)
-    a = np.abs(alphas)
-    degenerate = a >= 1.0
-    plateau = (a <= u_n) & ~degenerate
-    dual = ~degenerate & ~plateau
-    vals[degenerate] = _degenerate_value(sample)
-    vals[plateau] = sample.lambda_max
-    if np.any(dual):
-        _, v = _dual_minimize_batch(lam, w2, alphas[dual])
-        vals[dual] = v
-    return vals
+    a_p, v_p = golden_max(lambda a: float(point(a, top)), -u_n, u_n)
+    m1 = _degenerate_value(sample)
+    cands = [(v_p, 0, a_p, top, top, "plateau")]
+    for sign in (-1.0, 1.0):
+        cands.append((float(point(sign, m1)), 0, sign, m1, None, "degenerate"))
+    ts = np.linspace(*_curve_span(lam), _CURVE_POINTS)
+    _, a_grid, inner_grid = _curve(lam, w2, ts)
+    for sign in (-1.0, 1.0):
 
+        def along(t: float) -> float:
+            _, a, inner = _curve(lam, w2, t)
+            return float(point(sign * float(a), float(inner)))
 
-def _inner_value(sample: GoeSample, alpha: float) -> float:
-    return inner_max(sample, alpha).value
+        t, v = grid_golden_max(along, ts, scan(sign * a_grid, inner_grid))
+        l, a, inner = _curve(lam, w2, t)
+        cands.append((v, 1, sign * float(a), float(inner), float(l), "dual"))
+    v, _, alpha, inner, l_star, regime = min(cands, key=lambda c: (-c[0], c[1], c[2]))
+    return v, alpha, inner, l_star, regime
 
 
 def solve_sphere(
@@ -310,46 +275,36 @@ def solve_sphere(
 ) -> SphereSolve:
     """Maximize ``n * (f(alpha) + beta * inner(alpha))`` over the overlap.
 
-    Scans a uniform grid of ``grid_points`` overlaps in [-1, 1], then refines
-    around the three best grid points by golden-section search to width 1e-10.
-    Exact ties are broken toward the smaller overlap.
+    Along the dual curve the objective is ``f(+-|alpha|(l)) + beta inner(l)``;
+    each sign is scanned in ``t = log(l - lam_max)`` and refined by
+    golden-section search to width 1e-10 in ``t``.  The plateau (the best
+    ``f`` on ``|alpha| <= |u_n|``, at inner value ``lam_max``) and
+    ``alpha = +-1`` are side candidates.  Exact ties are broken toward these
+    side candidates, then toward the smaller overlap.  With ``return_curve`` the
+    objective is also tabulated on ``grid_points`` uniform overlaps in
+    [-1, 1].
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    n = sample.n
-    alphas = np.linspace(-1.0, 1.0, grid_points)
-    inner_vals = _inner_values_on_grid(sample, alphas)
-    phi = f.value(alphas) + beta * inner_vals
+    phi = lambda a, inner: f.value(a) + beta * inner
+    best, alpha_star, _, l_star, regime = _best_state(sample, phi, phi)
 
-    order = np.argsort(-phi, kind="stable")
-    candidates: list[tuple[float, float]] = []
-    for idx in order[:3]:
-        lo = alphas[max(idx - 1, 0)]
-        hi = alphas[min(idx + 1, grid_points - 1)]
-        fun = lambda t: float(f.value(t)) + beta * _inner_value(sample, t)
-        candidates.append(_golden_max(fun, lo, hi))
-    # grid best as a safety net (golden search already saw the endpoints)
-    candidates.append((float(alphas[order[0]]), float(phi[order[0]])))
-
-    candidates.sort(key=lambda c: (-c[1], c[0]))
-    alpha_star, best = candidates[0]
-
-    res = inner_max(sample, alpha_star)
-    l_star = res.l_star if res.regime == "dual" else (
-        sample.lambda_max if res.regime == "plateau" else None
-    )
     sigma = None
     if return_maximizer:
-        if res.regime == "dual":
-            sigma = recover_maximizer(sample, alpha_star, res.l_star)
-        elif res.regime == "degenerate":
+        if regime == "dual":
+            sigma = recover_maximizer(sample, alpha_star, l_star)
+        elif regime == "degenerate":
             sigma = math.copysign(1.0, alpha_star) * sample.u.copy()
-    curve = (alphas, phi) if return_curve else None
+    curve = None
+    if return_curve:
+        alphas = np.linspace(-1.0, 1.0, grid_points)
+        inner = np.array([inner_max(sample, a).value for a in alphas])
+        curve = (alphas, f.value(alphas) + beta * inner)
     return SphereSolve(
-        value=n * best,
+        value=sample.n * best,
         alpha_star=alpha_star,
         l_star=l_star,
-        regime=res.regime,
+        regime=regime,
         sigma_star=sigma,
         curve=curve,
     )
@@ -373,81 +328,59 @@ def solve_ball(
     f: SpikeSpec,
     g: RadialSpec,
     R,
-    grid_points: int = 201,
 ) -> BallSolve:
     """Maximize ``n * (f(r alpha) + g(r) + beta r^2 inner(alpha))`` over overlap and radius.
 
-    ``R`` is a closed radial interval or a list of such intervals.  A
-    ``grid_points`` x ``grid_points`` scan per interval (endpoints included)
-    is refined coordinate-wise by golden-section search; the interval
-    endpoints always remain candidates.
+    ``R`` is a closed radial interval or a list of such intervals.  The
+    overlap and inner value run over the same states as in
+    :func:`solve_sphere` (the dual curve per overlap sign, the plateau and
+    ``alpha = +-1``); at each state the radius is maximized, at O(1) cost per
+    radius, by a scan of each interval (endpoints included) refined by
+    golden-section search around its best point.  Exact ties are broken
+    toward the side candidates, then toward the smaller overlap and radius.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     domain = _normalize_domain(R)
-    n = sample.n
-    alphas = np.linspace(-1.0, 1.0, grid_points)
-    inner_vals = _inner_values_on_grid(sample, alphas)
-
-    def value_at(alpha: float, r: float, inner: float | None = None) -> float:
-        if inner is None:
-            inner = _inner_value(sample, alpha)
-        gv = float(g.value(r))
-        if not np.isfinite(gv):
-            return -math.inf
-        return float(f.value(r * alpha)) + gv + beta * r * r * inner
-
-    candidates: list[tuple[float, float, float]] = []  # (value, alpha, r)
+    grids = []
     for r_lo, r_hi in domain:
-        rs = np.linspace(r_lo, r_hi, grid_points)
-        gvals = np.array([g.value(r) for r in rs], dtype=float)
-        gvals[~np.isfinite(gvals)] = -np.inf
-        # grid of f(r*alpha) + g(r) + beta r^2 inner(alpha)
-        grid = (
-            f.value(np.outer(rs, alphas))
-            + gvals[:, None]
-            + beta * (rs**2)[:, None] * inner_vals[None, :]
-        )
-        flat = np.argsort(-grid, axis=None, kind="stable")[:3]
-        span_r = rs[1] - rs[0] if grid_points > 1 else 0.0
-        span_a = alphas[1] - alphas[0]
-        for pos in flat:
-            i, j = np.unravel_index(pos, grid.shape)
-            r_c, a_c = float(rs[i]), float(alphas[j])
-            v_c = float(grid[i, j])
-            # two rounds of coordinate-wise refinement
-            for _ in range(2):
-                lo_r = max(r_lo, r_c - span_r)
-                hi_r = min(r_hi, r_c + span_r)
-                if hi_r > lo_r:
-                    inner_c = _inner_value(sample, a_c)
-                    r_c, v_c = _golden_max(
-                        lambda t: value_at(a_c, t, inner_c), lo_r, hi_r
-                    )
-                lo_a = max(-1.0, a_c - span_a)
-                hi_a = min(1.0, a_c + span_a)
-                a_c, v_c = _golden_max(lambda t: value_at(t, r_c), lo_a, hi_a)
-            candidates.append((v_c, a_c, r_c))
-        # interval endpoints stay in play: refine the overlap at fixed radius
-        for r_e in (r_lo, r_hi):
-            j = int(np.argmax(grid[0 if r_e == r_lo else -1]))
-            lo_a = max(-1.0, alphas[max(j - 1, 0)])
-            hi_a = min(1.0, alphas[min(j + 1, grid_points - 1)])
-            a_e, v_e = _golden_max(lambda t: value_at(t, r_e), lo_a, hi_a)
-            candidates.append((v_e, a_e, r_e))
+        rs = np.linspace(r_lo, r_hi, _RADIUS_POINTS)
+        gv = np.array([g.value(r) for r in rs], dtype=float)
+        gv[~np.isfinite(gv)] = -np.inf
+        grids.append((rs, gv))
 
-    candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-    best, alpha_star, r_star = candidates[0]
-    res = inner_max(sample, alpha_star)
-    l_star = res.l_star if res.regime == "dual" else (
-        sample.lambda_max if res.regime == "plateau" else None
+    def objective(r, alpha, inner, gv):
+        """The ball objective at radius ``r`` with ``gv = g(r)``; broadcasts."""
+        return f.value(r * alpha) + gv + beta * r * r * inner
+
+    def at_radius(r: float, alpha: float, inner: float) -> float:
+        gv = float(g.value(r))
+        return float(objective(r, alpha, inner, gv)) if math.isfinite(gv) else -math.inf
+
+    def radial(alpha: float, inner: float) -> tuple[float, float]:
+        """Best ``(value, radius)`` over the domain at a fixed inner state."""
+        best = []
+        for rs, gv in grids:
+            vals = objective(rs, alpha, inner, gv)
+            r, v = grid_golden_max(lambda r: at_radius(r, alpha, inner), rs, vals, top=1)
+            best.append((v, r))
+        return min(best, key=lambda c: (-c[0], c[1]))
+
+    def scan(alphas: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        """Lower bound of ``radial`` on arrays of inner states: the best scanned radius."""
+        a, i = alphas[:, None], inner[:, None]
+        return np.max([objective(rs, a, i, gv).max(axis=1) for rs, gv in grids], axis=0)
+
+    best, alpha_star, inner, l_star, regime = _best_state(
+        sample, lambda a, inner: radial(a, inner)[0], scan
     )
+    _, r_star = radial(alpha_star, inner)
     return BallSolve(
-        value=n * best,
+        value=sample.n * best,
         alpha_star=alpha_star,
         r_star=r_star,
         l_star=l_star,
-        regime=res.regime,
+        regime=regime,
         domain=domain,
     )
 

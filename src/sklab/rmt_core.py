@@ -35,6 +35,7 @@ __all__ = [
     "PoleError",
     "classical_locations",
     "linear_stat_clt",
+    "resolvent_moment",
     "sample_goe",
     "sample_spectral_model",
     "semicircle_cdf",
@@ -249,6 +250,16 @@ def _atoms_and_weights(
     return atoms, weights
 
 
+def resolvent_moment(atoms: np.ndarray, weights: np.ndarray, l, k: int = 1):
+    """``sum_i w_i / (l - x_i)^k`` for ``l`` to the right of every atom.
+
+    ``l`` may be a scalar or an array (one moment per entry).  No pole check:
+    callers that cannot guarantee ``l > max(atoms)`` check it themselves.
+    """
+    inv = 1.0 / (np.asarray(l, dtype=float)[..., None] - atoms)
+    return (inv**k) @ weights
+
+
 def stieltjes(
     sel: MeasureSelector,
     l: float,
@@ -302,9 +313,8 @@ def stieltjes(
     atoms, weights = _atoms_and_weights(sel, sample)
     if l <= atoms[-1]:
         raise PoleError(f"l={l} is not to the right of the largest atom {atoms[-1]}")
-    gaps = l - atoms
     k = order
-    return float(math.factorial(k) * (-1.0) ** k * np.sum(weights / gaps ** (k + 1)))
+    return float(math.factorial(k) * (-1.0) ** k * resolvent_moment(atoms, weights, l, k + 1))
 
 
 def linear_stat_clt(

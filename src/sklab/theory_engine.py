@@ -46,6 +46,8 @@ __all__ = [
     "fluct_params_ball",
     "fluct_params_sphere",
     "generic_minimax_params",
+    "golden_max",
+    "grid_golden_max",
     "limiting_lambda_law",
     "maximize_ball_theory",
     "maximize_sphere_theory",
@@ -395,7 +397,12 @@ def _maximize_sphere_monomial(f: SpikeSpec, beta: float) -> LeadingOrder:
 _GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_max_scalar(fun, a: float, b: float, tol: float = 1e-10):
+def golden_max(fun, lo: float, hi: float, tol: float = 1e-10):
+    """Golden-section maximization of ``fun`` on ``[lo, hi]``; returns ``(x, fun(x))``.
+
+    The endpoints are always candidates, so a boundary maximum is never lost.
+    """
+    a, b = float(lo), float(hi)
     best_x, best_f = a, fun(a)
     fb = fun(b)
     if fb > best_f:
@@ -420,18 +427,25 @@ def _golden_max_scalar(fun, a: float, b: float, tol: float = 1e-10):
     return best_x, best_f
 
 
+def grid_golden_max(fun, grid: np.ndarray, values: np.ndarray, top: int = 3):
+    """Maximize ``fun`` over a scanned grid: golden-section search around its best points.
+
+    ``values`` holds ``fun`` on ``grid``.  Each of the ``top`` best grid
+    points is refined between its two neighbours; returns the best
+    ``(x, fun(x))``, exact ties going to the smaller ``x``.
+    """
+    order = np.argsort(-values, kind="stable")
+    last = grid.size - 1
+    cands = [
+        golden_max(fun, grid[max(i - 1, 0)], grid[min(i + 1, last)]) for i in order[:top]
+    ]
+    return min(cands, key=lambda c: (-c[1], c[0]))
+
+
 def _maximize_sphere_numeric(f: SpikeSpec, beta: float) -> LeadingOrder:
     grid = np.linspace(-1.0, 1.0, 2001)
-    vals = evaluate_B(grid, beta, f)
-    order = np.argsort(-vals, kind="stable")
     fun = lambda t: float(evaluate_B(t, beta, f))
-    cands = []
-    for idx in order[:3]:
-        lo = grid[max(idx - 1, 0)]
-        hi = grid[min(idx + 1, grid.size - 1)]
-        cands.append(_golden_max_scalar(fun, lo, hi))
-    cands.sort(key=lambda c: (-c[1], c[0]))
-    a, val = cands[0]
+    a, val = grid_golden_max(fun, grid, evaluate_B(grid, beta, f))
     # stationarity polish when strictly interior
     if abs(a) < 1.0 - 1e-9:
         for _ in range(50):
@@ -526,11 +540,8 @@ def tap_threshold(k: int, beta: float) -> float:
     lo = math.sqrt(g.plefka_q) + 1e-6
     hi = 1.0 - 1e-6
     rs = np.linspace(lo, hi, 2001)
-    vals = np.array([ratio(r) for r in rs])
-    idx = int(np.argmin(vals))
-    a = rs[max(idx - 1, 0)]
-    b = rs[min(idx + 1, rs.size - 1)]
-    r_best, neg_best = _golden_max_scalar(lambda r: -ratio(r), a, b)
+    neg = lambda r: -ratio(r)
+    _, neg_best = grid_golden_max(neg, rs, np.array([neg(r) for r in rs]), top=1)
     return -neg_best
 
 
@@ -611,7 +622,7 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, g: RadialSpec, beta: float) -> Lea
     # T vanishes at both ends of (q_P, 1) with a single interior peak; the
     # maximizer radius is the larger root of T = 1/(h k), right of the peak.
     lo_q = q_p
-    peak_q, peak_v = _golden_max_scalar(t_of_q, lo_q + 1e-12, 1.0 - 1e-12, tol=1e-13)
+    peak_q, peak_v = golden_max(t_of_q, lo_q + 1e-12, 1.0 - 1e-12, tol=1e-13)
     target = 1.0 / (h * k)
     if peak_v < target:
         return _boundary_leading(beta, f, g, "no interior critical point")
@@ -661,10 +672,10 @@ def _maximize_ball_numeric(f: SpikeSpec, g: RadialSpec, beta: float) -> LeadingO
         i, j = np.unravel_index(pos, grid.shape)
         r_c, a_c = float(rs[i]), float(alphas[j])
         for _ in range(3):
-            r_c, _ = _golden_max_scalar(
+            r_c, _ = golden_max(
                 lambda t: fun(a_c, t), max(r_lo, r_c - span_r), min(r_hi, r_c + span_r)
             )
-            a_c, v_c = _golden_max_scalar(
+            a_c, v_c = golden_max(
                 lambda t: fun(t, r_c), max(-1.0, a_c - span_a), min(1.0, a_c + span_a)
             )
         cands.append((v_c, a_c, r_c))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
 from sklab.reduction_solver import (
     DegenerateOverlapError,
@@ -348,3 +349,59 @@ def test_inner_value_bounded_by_spectrum(seed, n):
     for alpha in (0.0, 0.4, 0.99, 1.0):
         v = inner_max(s, alpha).value
         assert s.lambda_min - 1e-12 <= v <= s.lambda_max + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Independent maxima: the trust-region subproblem solved from its own secular
+# equation, with no use of the overlap reduction
+
+
+def trust_region_max(s: GoeSample, beta: float, c: float) -> tuple[float, float]:
+    """``max_{|x|=1} beta x^T diag(lam) x + c u.x`` for ``c > 0``: ``(value, u.x)``.
+
+    The maximizer is ``x_i = c u_i / (2 (t + d_i))`` with ``d_i = beta (lam_max
+    - lam_i)`` and ``t > 0`` the root of the secular equation ``|x|^2 = 1``,
+    which lies between ``c |u_n| / 2`` and ``c / 2``.
+    """
+    d = beta * (s.lambda_max - s.eigenvalues)
+    w = 0.25 * c * c * s.u**2
+    t = brentq(lambda t: float(np.sum(w / (t + d) ** 2)) - 1.0,
+               0.5 * c * abs(s.u[-1]), 0.5 * c, xtol=1e-15, rtol=1e-15)
+    value = beta * s.lambda_max + t + float(np.sum(w / (t + d)))
+    return value, 0.5 * c * float(np.sum(s.u**2 / (t + d)))
+
+
+def tap_ball_max(s: GoeSample, beta: float, h: float, lo: float, hi: float) -> float:
+    """``max_r g(r) + r^2 TRS(beta, h/r)``: the TAP ball at degree 1, per site."""
+    g = RadialSpec.tap(beta)
+    fun = lambda r: -(float(g.value(r)) + r * r * trust_region_max(s, beta, h / r)[0])
+    rs = np.linspace(lo, hi, 401)
+    i = int(np.argmin([fun(r) for r in rs]))
+    res = minimize_scalar(fun, bounds=(rs[max(i - 1, 0)], rs[min(i + 1, rs.size - 1)]),
+                          method="bounded", options={"xatol": 1e-12})
+    return -min(float(res.fun), fun(rs[i]))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_solve_sphere_matches_trust_region_at_n300(seed):
+    s = sample_spectral_model(300, seed=seed, mode="invariance")
+    sol = solve_sphere(s, 1.0, SpikeSpec.monomial(1.5, 1))
+    value, overlap = trust_region_max(s, 1.0, 1.5)
+    assert sol.value / s.n == pytest.approx(value, abs=1e-12)
+    assert sol.alpha_star == pytest.approx(overlap, abs=1e-6)
+
+
+def test_solve_ball_reaches_joint_maximum():
+    # the radius and overlap are maximized jointly, not coordinate-wise
+    s = sample_spectral_model(100, seed=4, mode="invariance")
+    g = RadialSpec.tap(1.0)
+    lo, hi = g.domain[0] + 1e-9, 1.0 - 1e-9
+    sol = solve_ball(s, 1.0, SpikeSpec.monomial(1.0, 1), g, (lo, hi))
+    assert sol.value / s.n == pytest.approx(tap_ball_max(s, 1.0, 1.0, lo, hi), abs=1e-10)
+
+
+def test_even_spike_tie_breaks_toward_negative_overlap():
+    # f(alpha) = f(-alpha): both signs of the overlap are exact ties
+    s = sample_spectral_model(50, seed=10, mode="invariance")
+    sol = solve_sphere(s, 1.0, SpikeSpec.monomial(1.5, 2))
+    assert sol.alpha_star < 0.0
