@@ -9,21 +9,26 @@ order, floats at 17 significant digits) plus a JSON mirror carrying the
 aggregate summary and a theory sidecar, so a campaign re-run is byte-identical
 apart from wall times.
 
-Trials are independent; with ``parallelism > 1`` they run in worker processes
-and the output is ordered by trial index, independent of scheduling.  A trial
-that raises a numerical error becomes a ``valid=false`` row instead of
-aborting the campaign.  Validity depends on the configuration and the seed
-only, never on how long a trial took.
+The limit theory is computed once per campaign and every trial takes the
+same path, :func:`_run_trial` applied to the configuration, the theory and
+the trial index: in this process with ``parallelism == 1``, otherwise
+through a pool of ``parallelism`` worker processes whose OpenBLAS runs one
+thread each.  The output is ordered by trial index, independent of
+scheduling.  A trial that raises a numerical error becomes a
+``valid=false`` row; any other exception is a bug and aborts the campaign.
+Validity depends on the configuration and the seed only, never on how long
+a trial took.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 from typing import Literal, Sequence
 
 import numpy as np
@@ -35,7 +40,7 @@ from .fluctuation_lab import (
     residual_ball,
     residual_sphere,
 )
-from .reduction_solver import solve_ball, solve_sphere
+from .reduction_solver import StationarityError, solve_ball, solve_sphere
 from .rmt_core import PoleError, sample_spectral_model
 from .theory_engine import (
     FluctuationParams,
@@ -109,9 +114,7 @@ class ExperimentConfig:
     """Declarative description of a Monte Carlo campaign.
 
     Only closed-form profile specs (monomial spikes, TAP radial term) are
-    allowed here: they serialize losslessly and reconstruct in worker
-    processes.  ``parallelism`` may be overridden at run time by the
-    ``SKLAB_THREADS`` environment variable.
+    allowed here: they serialize losslessly and pickle into worker processes.
     """
 
     model: Literal["sphere", "ball"]
@@ -225,6 +228,61 @@ class TrialRecord:
     wall_time_ms: float
 
 
+def _theory(
+    config: ExperimentConfig,
+) -> tuple[LeadingOrder, FluctuationParams | None, str | None]:
+    """Leading order and fluctuation constants of a campaign.
+
+    The constants are None, with the reason, whenever the second-order
+    description does not apply (zero overlap, flat curvature).
+    """
+    if config.model == "sphere":
+        leading = maximize_sphere_theory(config.spike, config.beta)
+    else:
+        leading = maximize_ball_theory(config.spike, config.radial, config.beta)
+    try:
+        if config.model == "sphere":
+            params = fluct_params_sphere(config.spike, config.beta, leading)
+        else:
+            params = fluct_params_ball(config.spike, config.radial, config.beta, leading)
+    except InapplicableRegimeError as err:
+        return leading, None, str(err)
+    return leading, params, None
+
+
+def _sidecar(
+    config: ExperimentConfig,
+    leading: LeadingOrder,
+    params: FluctuationParams | None,
+    reason: str | None,
+) -> dict:
+    fluctuation = None
+    if params is not None:
+        fluctuation = {
+            "kappa": params.kappa,
+            "G": params.G.tolist(),
+            "G_resid": params.G_resid.tolist(),
+            "w": params.w.tolist(),
+            "h_ll": params.h_ll,
+            "var_U": params.var_U,
+            "var_Uprime": params.var_Uprime,
+            "cov_UUprime": params.cov_UUprime,
+            "lambda_mean": params.lambda_mean,
+            "lambda_var": params.lambda_var,
+            "Sigma": params.Sigma.tolist(),
+        }
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "model": config.model,
+        "beta": config.beta,
+        "spike": config.spike.to_dict(),
+        "radial": config.radial.to_dict() if config.radial is not None else None,
+        "leading": asdict(leading),
+        "fluctuation": fluctuation,
+        "reason": reason,
+    }
+
+
 def theory_sidecar(config: ExperimentConfig) -> dict:
     """Limit theory of a campaign: leading order plus fluctuation constants.
 
@@ -232,106 +290,54 @@ def theory_sidecar(config: ExperimentConfig) -> dict:
     second-order description does not apply (zero overlap, flat curvature);
     the campaign then emits empty residual columns.
     """
-    if config.model == "sphere":
-        leading = maximize_sphere_theory(config.spike, config.beta)
-    else:
-        leading = maximize_ball_theory(config.spike, config.radial, config.beta)
-    sidecar: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "model": config.model,
-        "beta": config.beta,
-        "spike": config.spike.to_dict(),
-        "radial": config.radial.to_dict() if config.radial is not None else None,
-        "leading": {
-            "alpha_hat": leading.alpha_hat,
-            "l_hat": leading.l_hat,
-            "z_hat": leading.z_hat,
-            "value": leading.value,
-            "multiplicity": leading.multiplicity,
-            "r_hat": leading.r_hat,
-            "applicable": leading.applicable,
-            "reason": leading.reason,
-        },
-        "fluctuation": None,
-        "reason": None,
-    }
-    try:
-        if config.model == "sphere":
-            params = fluct_params_sphere(config.spike, config.beta, leading)
-        else:
-            params = fluct_params_ball(config.spike, config.radial, config.beta, leading)
-    except InapplicableRegimeError as err:
-        sidecar["reason"] = str(err)
-        return sidecar
-    sidecar["fluctuation"] = {
-        "kappa": params.kappa,
-        "G": params.G.tolist(),
-        "G_resid": params.G_resid.tolist(),
-        "w": params.w.tolist(),
-        "h_ll": params.h_ll,
-        "var_U": params.var_U,
-        "var_Uprime": params.var_Uprime,
-        "cov_UUprime": params.cov_UUprime,
-        "lambda_mean": params.lambda_mean,
-        "lambda_var": params.lambda_var,
-        "Sigma": params.Sigma.tolist(),
-    }
-    return sidecar
+    return _sidecar(config, *_theory(config))
 
 
-def _rebuild_theory(
-    sidecar: dict,
-) -> tuple[LeadingOrder, FluctuationParams | None]:
-    lead_d = sidecar["leading"]
-    leading = LeadingOrder(
-        alpha_hat=lead_d["alpha_hat"],
-        l_hat=lead_d["l_hat"],
-        z_hat=lead_d["z_hat"],
-        value=lead_d["value"],
-        multiplicity=lead_d["multiplicity"],
-        r_hat=lead_d["r_hat"],
-        applicable=lead_d["applicable"],
-        reason=lead_d["reason"],
-    )
-    fl = sidecar["fluctuation"]
-    if fl is None:
-        return leading, None
-    params = FluctuationParams(
-        kappa=fl["kappa"],
-        G=np.array(fl["G"]),
-        var_U=fl["var_U"],
-        var_Uprime=fl["var_Uprime"],
-        cov_UUprime=fl["cov_UUprime"],
-        lambda_mean=fl["lambda_mean"],
-        lambda_var=fl["lambda_var"],
-        Sigma=np.array(fl["Sigma"]),
-        w=np.array(fl["w"]),
-        h_ll=fl["h_ll"],
-        G_resid=np.array(fl["G_resid"]),
-    )
-    return leading, params
+#: OpenBLAS thread setters, by build (SciPy's wheels prefix and suffix them)
+_BLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 
 def _single_thread_env() -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")
+    """Pin every OpenBLAS loaded in this process to one thread.
+
+    Pool workers are forked after NumPy has loaded OpenBLAS, so the
+    ``*_NUM_THREADS`` variables are read too late; the count is set through
+    each library found in ``/proc/self/maps`` instead.  Without that file or
+    a known setter this does nothing.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        setter = next((getattr(lib, s) for s in _BLAS_SETTERS if hasattr(lib, s)), None)
+        if setter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+
+
+#: errors that make a trial an invalid row; anything else aborts the campaign
+_NUMERICAL_ERRORS = (np.linalg.LinAlgError, PoleError, StationarityError, FloatingPointError)
 
 
 def _run_trial(
-    config_d: dict, sidecar: dict, trial_index: int
+    config: ExperimentConfig,
+    theory: tuple[LeadingOrder, FluctuationParams | None],
+    trial_index: int,
 ) -> tuple[TrialRecord, FluctuationSample | None]:
-    """Execute one trial; never raises (failures become invalid rows)."""
-    config = ExperimentConfig.from_dict(config_d)
+    """Execute one trial; numerical errors become invalid rows, bugs propagate."""
     seed = derive_seed(config.master_seed, trial_index)
     start = time.perf_counter()
 
     def elapsed_ms() -> float:
         return (time.perf_counter() - start) * 1e3
-
-    def invalid() -> TrialRecord:
-        return TrialRecord(
-            trial_index, seed, config.n, *([None] * 12), False, elapsed_ms()
-        )
 
     try:
         sample = sample_spectral_model(config.n, seed=seed, mode=config.sampling_mode)
@@ -348,10 +354,11 @@ def _run_trial(
                 (lo + 1e-9, hi - 1e-9),  # the tap endpoints are open
             )
             r_star = sol.r_star
-    except Exception:
-        return invalid(), None
+    except _NUMERICAL_ERRORS:
+        invalid = TrialRecord(trial_index, seed, config.n, *([None] * 12), False, elapsed_ms())
+        return invalid, None
 
-    leading, params = _rebuild_theory(sidecar)
+    leading, params = theory
     stats = residual = None
     valid = True
     if leading.applicable:
@@ -360,8 +367,6 @@ def _run_trial(
             stats.seed = seed
         except PoleError:
             valid = False
-        except Exception:
-            return invalid(), None
         if stats is not None and params is not None:
             res_fn = residual_sphere if config.model == "sphere" else residual_ball
             residual = res_fn(sol.value, stats, leading, params)
@@ -400,35 +405,17 @@ def run_experiment(
     residual.  With ``config.output_path`` set the results are also persisted
     via :func:`emit`.
     """
-    sidecar = theory_sidecar(config)
-    config_d = config.to_dict()
-    workers = int(os.environ.get("SKLAB_THREADS", config.parallelism))
-
-    results: dict[int, tuple[TrialRecord, FluctuationSample | None]] = {}
-    pilot = min(config.trials, 5)
-    for i in range(pilot):
-        results[i] = _run_trial(config_d, sidecar, i)
-    rest = range(pilot, config.trials)
-    if workers > 1 and len(rest) > 0:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_single_thread_env
-        ) as pool:
-            futures = {i: pool.submit(_run_trial, config_d, sidecar, i) for i in rest}
-            for i, fut in futures.items():
-                results[i] = fut.result()
+    leading, params, reason = _theory(config)
+    sidecar = _sidecar(config, leading, params, reason)
+    args = (repeat(config), repeat((leading, params)), range(config.trials))
+    if config.parallelism == 1:
+        results = list(map(_run_trial, *args))
     else:
-        for i in rest:
-            results[i] = _run_trial(config_d, sidecar, i)
+        with ProcessPoolExecutor(config.parallelism, initializer=_single_thread_env) as pool:
+            results = list(pool.map(_run_trial, *args))
 
-    records = [results[i][0] for i in range(config.trials)]
-    samples = [results[i][1] for i in range(config.trials)]
-
-    _, params = _rebuild_theory(sidecar)
-    usable = [
-        s
-        for rec, s in zip(records, samples)
-        if rec.valid and s is not None
-    ]
+    records = [rec for rec, _ in results]
+    usable = [s for rec, s in results if rec.valid and s is not None]
     summary: dict = {
         "valid_count": sum(1 for r in records if r.valid),
         "invalid_count": sum(1 for r in records if not r.valid),
@@ -440,8 +427,8 @@ def run_experiment(
     residuals = [r.residual for r in records if r.valid and r.residual is not None]
     if residuals:
         summary["median_abs_residual"] = float(np.median(np.abs(residuals)))
-    elif sidecar["reason"] is not None:
-        summary["residual_reason"] = sidecar["reason"]
+    elif reason is not None:
+        summary["residual_reason"] = reason
 
     if config.output_path is not None:
         emit(records, summary, sidecar, config.output_path, config.output_format)

@@ -28,7 +28,7 @@ from typing import Literal, Sequence
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .rmt_core import GoeSample, PoleError, classical_locations, stieltjes
+from .rmt_core import GoeSample, PoleError, classical_locations, resolvent_moment, stieltjes
 from .theory_engine import FluctuationParams, LeadingOrder
 
 __all__ = [
@@ -84,26 +84,25 @@ def compute_statistics(sample: GoeSample, l: float) -> FluctuationSample:
     s0 = stieltjes("semicircle", l)
 
     centered = n * sample.u**2 - 1.0
-    gaps = l - lam
     root_n = math.sqrt(n)
-    u_stat = float(centered @ (1.0 / gaps)) / root_n
-    up_stat = -float(centered @ (1.0 / gaps**2)) / root_n
-    lambda_stat = float(np.sum(1.0 / gaps)) - n * s0
+    u_stat = float(resolvent_moment(lam, centered, l)) / root_n
+    up_stat = -float(resolvent_moment(lam, centered, l, 2)) / root_n
+    lambda_stat = float(resolvent_moment(lam, np.ones(n), l)) - n * s0
 
     theta = classical_locations(n)
-    tgaps = l - theta  # theta_n = sqrt(2) < l since l > lambda_max >= ... > sqrt 2 - o(1)
-    if tgaps[-1] <= 0.0:
+    if l <= theta[-1]:  # the top classical location is sqrt(2)
         raise PoleError(f"evaluation point {l} does not clear the support edge")
-    w_stat = float(centered @ (1.0 / tgaps)) / root_n
-    wp_stat = -float(centered @ (1.0 / tgaps**2)) / root_n
+    w_stat = float(resolvent_moment(theta, centered, l)) / root_n
+    wp_stat = -float(resolvent_moment(theta, centered, l, 2)) / root_n
 
     x = xp = y = None
     if sample.raw_gaussians is not None:
         raw_centered = sample.raw_gaussians**2 - 1.0
         s1 = stieltjes("semicircle", l, order=1)
-        x = float(raw_centered @ (1.0 / tgaps - s0)) / root_n
-        xp = float(raw_centered @ (-1.0 / tgaps**2 - s1)) / root_n
-        y = float(np.sum(raw_centered)) / root_n
+        raw_sum = float(np.sum(raw_centered))
+        x = (float(resolvent_moment(theta, raw_centered, l)) - s0 * raw_sum) / root_n
+        xp = (-float(resolvent_moment(theta, raw_centered, l, 2)) - s1 * raw_sum) / root_n
+        y = raw_sum / root_n
 
     return FluctuationSample(
         n=n,

@@ -29,7 +29,7 @@ from typing import Callable, Literal
 
 import numpy as np
 
-from .rmt_core import SQRT2, PoleError, stieltjes
+from .rmt_core import SQRT2, PoleError
 
 __all__ = [
     "FluctuationParams",
@@ -755,9 +755,10 @@ class FluctuationParams:
     convention; ``G_resid`` additionally carries the rank-one term
     ``w w^T / h_ll`` produced by eliminating the dual variable, which is the
     variant the empirical residuals vanish under.  ``Sigma`` is the limit
-    covariance of the weighted resolvent pair evaluated from the semicircle
-    transform; ``var_U``/``var_Uprime``/``cov_UUprime`` are the same numbers
-    in maximizer coordinates.
+    covariance of the weighted resolvent pair, assembled from
+    ``var_U``/``var_Uprime``/``cov_UUprime`` in maximizer coordinates; it
+    equals the semicircle-transform expression, which loses digits to
+    cancellation near the spectral edge.
     """
 
     kappa: float
@@ -781,17 +782,6 @@ def limiting_lambda_law(l: float) -> tuple[float, float]:
         raise PoleError(f"resolvent law needs l > sqrt(2), got {l}")
     mean = (l - math.sqrt(d)) / (2.0 * d)
     return mean, 1.0 / (d * d)
-
-
-def _sigma_from_transform(l_hat: float) -> np.ndarray:
-    s0 = stieltjes("semicircle", l_hat)
-    s1 = stieltjes("semicircle", l_hat, order=1)
-    s2 = stieltjes("semicircle", l_hat, order=2)
-    s3 = stieltjes("semicircle", l_hat, order=3)
-    top = -2.0 * s1 - 2.0 * s0 * s0
-    off = -s2 - 2.0 * s0 * s1
-    bot = -s3 / 3.0 - 2.0 * s1 * s1
-    return np.array([[top, off], [off, bot]])
 
 
 def _limit_laws(alpha_hat: float) -> tuple[float, float, float, float, float]:
@@ -837,7 +827,7 @@ def fluct_params_sphere(
         cov_UUprime=cov,
         lambda_mean=lam_mean,
         lambda_var=lam_var,
-        Sigma=_sigma_from_transform(leading.l_hat),
+        Sigma=np.array([[var_u, cov], [cov, var_up]]),
         w=w,
         h_ll=h_ll,
         G_resid=G + np.outer(w, w) / h_ll,
@@ -883,7 +873,7 @@ def fluct_params_ball(
         cov_UUprime=cov,
         lambda_mean=lam_mean,
         lambda_var=lam_var,
-        Sigma=_sigma_from_transform(leading.l_hat),
+        Sigma=np.array([[var_u, cov], [cov, var_up]]),
         w=exp.w,
         h_ll=inp.h_l_l,
         G_resid=exp.G_resid,

@@ -1,8 +1,10 @@
 """Tests for the campaign runner: seeding, persistence, determinism."""
 
 import csv
+import ctypes
 import json
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -141,15 +143,6 @@ class TestRunExperiment:
             for col in CSV_COLUMNS[:-1]:  # wall time may differ
                 assert getattr(a, col) == getattr(b, col), col
 
-    def test_threads_env_override(self, monkeypatch):
-        monkeypatch.setenv("SKLAB_THREADS", "2")
-        records, _, _ = run_experiment(sphere_config(trials=6, parallelism=1))
-        assert len(records) == 6
-        reference, _, _ = run_experiment(sphere_config(trials=6, parallelism=1))
-        monkeypatch.delenv("SKLAB_THREADS")
-        for a, b in zip(records, reference):
-            assert a.value == b.value
-
     def test_crash_isolation(self, monkeypatch):
         real = harness.sample_spectral_model
 
@@ -164,6 +157,15 @@ class TestRunExperiment:
         assert records[2].value is None
         assert [r.valid for r in records if r.trial_index != 2] == [True] * 3
         assert summary["invalid_count"] == 1
+
+    def test_programming_errors_abort_the_campaign(self, monkeypatch):
+        # only numerical errors make invalid rows; a bug must not hide in one
+        def broken(*args, **kwargs):
+            raise TypeError("synthetic bug")
+
+        monkeypatch.setattr(harness, "solve_sphere", broken)
+        with pytest.raises(TypeError, match="synthetic bug"):
+            run_experiment(sphere_config(trials=2))
 
     def test_pole_proximate_trials_marked_invalid(self):
         # h=1 puts the dual point 0.029 above the support edge; at n=120 some
@@ -217,6 +219,40 @@ class TestRunExperiment:
         if sidecar["leading"]["applicable"]:
             assert records[0].U_N is not None
             assert records[0].residual is None
+
+
+def openblas_threads() -> list[int]:
+    """Thread count of every OpenBLAS loaded in this process, read through ctypes."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line}
+    counts = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in (
+            "scipy_openblas_get_num_threads64_",
+            "scipy_openblas_get_num_threads",
+            "openblas_get_num_threads64_",
+            "openblas_get_num_threads",
+        ):
+            if hasattr(lib, symbol):
+                getter = getattr(lib, symbol)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(getter())
+                break
+    return counts
+
+
+def test_pool_workers_run_single_threaded_blas():
+    # the workers are forked after NumPy loaded OpenBLAS, so the pin must act
+    # on the loaded libraries, not on the environment
+    try:
+        with ProcessPoolExecutor(1, initializer=harness._single_thread_env) as pool:
+            counts = pool.submit(openblas_threads).result()
+    except FileNotFoundError:
+        pytest.skip("no /proc/self/maps")
+    if not counts:
+        pytest.skip("no OpenBLAS loaded")
+    assert counts == [1] * len(counts)
 
 
 class TestSidecar:

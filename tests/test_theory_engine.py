@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sklab.rmt_core import SQRT2, PoleError
+from sklab.rmt_core import SQRT2, PoleError, stieltjes
 from sklab.theory_engine import (
     GenericMinimaxInput,
     InapplicableRegimeError,
@@ -460,12 +460,15 @@ def test_fluct_params_kappa_quadratic():
 
 
 def test_sigma_matches_maximizer_coordinates():
-    # the transform-based covariance equals the maximizer-coordinate closed forms
+    # the maximizer-coordinate covariance equals the one built from the
+    # semicircle transform and its derivatives at the dual point
     for h, b in [(1.0, 1.0), (1.5, 0.8), (0.7, 0.4)]:
-        fp = fluct_params_sphere(SpikeSpec.monomial(h, 1), b)
-        assert fp.Sigma[0, 0] == pytest.approx(fp.var_U, rel=1e-9)
-        assert fp.Sigma[0, 1] == pytest.approx(fp.cov_UUprime, rel=1e-9)
-        assert fp.Sigma[1, 1] == pytest.approx(fp.var_Uprime, rel=1e-9)
+        lead = maximize_sphere_theory(SpikeSpec.monomial(h, 1), b)
+        fp = fluct_params_sphere(SpikeSpec.monomial(h, 1), b, lead)
+        s0, s1, s2, s3 = (stieltjes("semicircle", lead.l_hat, order=k) for k in range(4))
+        assert fp.Sigma[0, 0] == pytest.approx(-2 * s1 - 2 * s0 * s0, rel=1e-9)
+        assert fp.Sigma[0, 1] == pytest.approx(-s2 - 2 * s0 * s1, rel=1e-9)
+        assert fp.Sigma[1, 1] == pytest.approx(-s3 / 3 - 2 * s1 * s1, rel=1e-9)
 
 
 def test_weighted_variance_frozen():
