@@ -27,7 +27,7 @@ import ctypes
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from itertools import repeat
 from typing import Literal, Sequence
 
@@ -149,6 +149,8 @@ class ExperimentConfig:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.sampling_mode not in ("invariance", "rotate"):
             raise ValueError(f"unknown sampling mode {self.sampling_mode!r}")
+        if self.output_format not in ("csv", "json"):
+            raise ValueError(f"unknown output format {self.output_format!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -364,13 +366,11 @@ def _run_trial(
     if leading.applicable:
         try:
             stats = compute_statistics(sample, leading.l_hat)
-            stats.seed = seed
         except PoleError:
             valid = False
         if stats is not None and params is not None:
             res_fn = residual_sphere if config.model == "sphere" else residual_ball
             residual = res_fn(sol.value, stats, leading, params)
-            stats.residual = residual
 
     record = TrialRecord(
         trial_index=trial_index,
@@ -503,13 +503,6 @@ def emit(
             pass
         raise
     return written
-
-
-_FLOAT_COLUMNS = {
-    f.name
-    for f in fields(TrialRecord)
-    if f.name not in ("trial_index", "derived_seed", "n", "valid")
-}
 
 
 def parse_campaign_csv(path: str) -> list[TrialRecord]:

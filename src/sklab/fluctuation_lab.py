@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
@@ -63,8 +63,6 @@ class FluctuationSample:
     Xprime: float | None = None
     Y: float | None = None
     valid: bool = True
-    residual: float | None = None  # set by the campaign runner, not here
-    seed: int | None = None
 
 
 def compute_statistics(sample: GoeSample, l: float) -> FluctuationSample:
@@ -118,23 +116,11 @@ def compute_statistics(sample: GoeSample, l: float) -> FluctuationSample:
     )
 
 
-Branch = Literal["auto", "positive", "negative"]
-
-
-def _branch_values(leading: LeadingOrder, branch: Branch) -> list[float]:
-    if branch == "negative" and leading.multiplicity != "pair":
-        raise ValueError("negative branch requested for a single maximizer")
-    if branch in ("positive", "negative") or leading.multiplicity == "single":
-        return [leading.value]
-    return [leading.value, leading.value]  # pair branches share every constant
-
-
 def _second_order_residual(
     value: float,
     stats: FluctuationSample,
     leading: LeadingOrder,
     params: FluctuationParams,
-    branch: Branch,
 ) -> float:
     if not leading.applicable:
         raise ValueError(
@@ -143,18 +129,13 @@ def _second_order_residual(
     n = stats.n
     v = np.array([stats.U, stats.Uprime])
     quad = 0.5 * float(v @ params.G_resid @ v)
-    best = math.inf
-    for b_val in _branch_values(leading, branch):
-        r = (
-            value
-            - n * b_val
-            - math.sqrt(n) * params.kappa * stats.U
-            - params.kappa * stats.Lambda
-            + quad
-        )
-        if abs(r) < abs(best):
-            best = r
-    return best
+    return (
+        value
+        - n * leading.value
+        - math.sqrt(n) * params.kappa * stats.U
+        - params.kappa * stats.Lambda
+        + quad
+    )
 
 
 def residual_sphere(
@@ -162,17 +143,16 @@ def residual_sphere(
     stats: FluctuationSample,
     leading: LeadingOrder,
     params: FluctuationParams,
-    branch: Branch = "auto",
 ) -> float:
     """Second-order residual of the extensive sphere ground state.
 
     ``value`` is the exact finite-n ground state; the residual subtracts the
-    deterministic term, the sqrt(n) Gaussian term and the order-one
-    correction, and converges to zero in probability.  For a symmetric pair
-    of maximizers every constant is even in the overlap, so the two branches
-    coincide; ``branch="auto"`` takes the smaller magnitude anyway.
+    deterministic term ``n leading.value``, the sqrt(n) Gaussian term and the
+    order-one correction, and converges to zero in probability.  A symmetric
+    pair of maximizers needs no choice of branch: every constant is even in
+    the overlap, so both branches give this one residual.
     """
-    return _second_order_residual(value, stats, leading, params, branch)
+    return _second_order_residual(value, stats, leading, params)
 
 
 def residual_ball(
@@ -180,12 +160,11 @@ def residual_ball(
     stats: FluctuationSample,
     leading: LeadingOrder,
     params: FluctuationParams,
-    branch: Branch = "auto",
 ) -> float:
     """Second-order residual of the extensive radial (ball) ground state."""
     if leading.r_hat is None:
         raise ValueError("ball residual requires a radial leading order")
-    return _second_order_residual(value, stats, leading, params, branch)
+    return _second_order_residual(value, stats, leading, params)
 
 
 def alt_residual_sphere(

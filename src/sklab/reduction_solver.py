@@ -33,7 +33,7 @@ projected-gradient oracle is provided as an equality witness for tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -66,7 +66,7 @@ _POLE_GUARD = 1e-13
 _CURVE_FAR = 1e6
 #: scan points along the curve, uniform in t = log(l - lam_max)
 _CURVE_POINTS = 401
-#: scan points per radial interval on the ball
+#: scan points over the radial interval on the ball
 _RADIUS_POINTS = 201
 
 
@@ -100,8 +100,6 @@ class SphereSolve:
     alpha_star: float
     l_star: float | None
     regime: Regime
-    sigma_star: np.ndarray | None = None
-    curve: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -113,7 +111,6 @@ class BallSolve:
     r_star: float
     l_star: float | None
     regime: Regime
-    domain: list[tuple[float, float]] = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -265,14 +262,7 @@ def _best_state(sample: GoeSample, point, scan):
     return v, alpha, inner, l_star, regime
 
 
-def solve_sphere(
-    sample: GoeSample,
-    beta: float,
-    f: SpikeSpec,
-    return_curve: bool = False,
-    return_maximizer: bool = False,
-    grid_points: int = 2001,
-) -> SphereSolve:
+def solve_sphere(sample: GoeSample, beta: float, f: SpikeSpec) -> SphereSolve:
     """Maximize ``n * (f(alpha) + beta * inner(alpha))`` over the overlap.
 
     Along the dual curve the objective is ``f(+-|alpha|(l)) + beta inner(l)``;
@@ -280,46 +270,24 @@ def solve_sphere(
     golden-section search to width 1e-10 in ``t``.  The plateau (the best
     ``f`` on ``|alpha| <= |u_n|``, at inner value ``lam_max``) and
     ``alpha = +-1`` are side candidates.  Exact ties are broken toward these
-    side candidates, then toward the smaller overlap.  With ``return_curve`` the
-    objective is also tabulated on ``grid_points`` uniform overlaps in
-    [-1, 1].
+    side candidates, then toward the smaller overlap.  In the dual regime the
+    maximizer itself is ``recover_maximizer(sample, alpha_star, l_star)``; at
+    ``alpha = +-1`` it is ``+-u``.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     phi = lambda a, inner: f.value(a) + beta * inner
     best, alpha_star, _, l_star, regime = _best_state(sample, phi, phi)
-
-    sigma = None
-    if return_maximizer:
-        if regime == "dual":
-            sigma = recover_maximizer(sample, alpha_star, l_star)
-        elif regime == "degenerate":
-            sigma = math.copysign(1.0, alpha_star) * sample.u.copy()
-    curve = None
-    if return_curve:
-        alphas = np.linspace(-1.0, 1.0, grid_points)
-        inner = np.array([inner_max(sample, a).value for a in alphas])
-        curve = (alphas, f.value(alphas) + beta * inner)
     return SphereSolve(
-        value=sample.n * best,
-        alpha_star=alpha_star,
-        l_star=l_star,
-        regime=regime,
-        sigma_star=sigma,
-        curve=curve,
+        value=sample.n * best, alpha_star=alpha_star, l_star=l_star, regime=regime
     )
 
 
-def _normalize_domain(R) -> list[tuple[float, float]]:
-    if isinstance(R, (tuple, list)) and len(R) == 2 and np.isscalar(R[0]):
-        R = [tuple(R)]
-    out = []
-    for lo, hi in R:
-        lo, hi = float(lo), float(hi)
-        if not (0.0 <= lo <= hi):
-            raise ValueError(f"invalid radial interval ({lo}, {hi})")
-        out.append((lo, hi))
-    return out
+def _radial_interval(R: tuple[float, float]) -> tuple[float, float]:
+    lo, hi = float(R[0]), float(R[1])
+    if not (0.0 <= lo <= hi):
+        raise ValueError(f"invalid radial interval ({lo}, {hi})")
+    return lo, hi
 
 
 def solve_ball(
@@ -327,27 +295,24 @@ def solve_ball(
     beta: float,
     f: SpikeSpec,
     g: RadialSpec,
-    R,
+    R: tuple[float, float],
 ) -> BallSolve:
     """Maximize ``n * (f(r alpha) + g(r) + beta r^2 inner(alpha))`` over overlap and radius.
 
-    ``R`` is a closed radial interval or a list of such intervals.  The
-    overlap and inner value run over the same states as in
-    :func:`solve_sphere` (the dual curve per overlap sign, the plateau and
-    ``alpha = +-1``); at each state the radius is maximized, at O(1) cost per
-    radius, by a scan of each interval (endpoints included) refined by
-    golden-section search around its best point.  Exact ties are broken
-    toward the side candidates, then toward the smaller overlap and radius.
+    ``R = (lo, hi)`` is the closed radial interval, ``0 <= lo <= hi``; pass
+    an open end of ``g``'s domain nudged inward.  The overlap and inner value
+    run over the same states as in :func:`solve_sphere` (the dual curve per
+    overlap sign, the plateau and ``alpha = +-1``); at each state the radius
+    is maximized, at O(1) cost per radius, by a scan of the interval
+    (endpoints included) refined by golden-section search around its best
+    point.  Exact ties are broken toward the side candidates, then toward the
+    smaller overlap and radius.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    domain = _normalize_domain(R)
-    grids = []
-    for r_lo, r_hi in domain:
-        rs = np.linspace(r_lo, r_hi, _RADIUS_POINTS)
-        gv = np.array([g.value(r) for r in rs], dtype=float)
-        gv[~np.isfinite(gv)] = -np.inf
-        grids.append((rs, gv))
+    rs = np.linspace(*_radial_interval(R), _RADIUS_POINTS)
+    g_grid = np.array([g.value(r) for r in rs], dtype=float)
+    g_grid[~np.isfinite(g_grid)] = -np.inf
 
     def objective(r, alpha, inner, gv):
         """The ball objective at radius ``r`` with ``gv = g(r)``; broadcasts."""
@@ -358,18 +323,14 @@ def solve_ball(
         return float(objective(r, alpha, inner, gv)) if math.isfinite(gv) else -math.inf
 
     def radial(alpha: float, inner: float) -> tuple[float, float]:
-        """Best ``(value, radius)`` over the domain at a fixed inner state."""
-        best = []
-        for rs, gv in grids:
-            vals = objective(rs, alpha, inner, gv)
-            r, v = grid_golden_max(lambda r: at_radius(r, alpha, inner), rs, vals, top=1)
-            best.append((v, r))
-        return min(best, key=lambda c: (-c[0], c[1]))
+        """Best ``(value, radius)`` over the interval at a fixed inner state."""
+        vals = objective(rs, alpha, inner, g_grid)
+        r, v = grid_golden_max(lambda r: at_radius(r, alpha, inner), rs, vals, top=1)
+        return v, r
 
     def scan(alphas: np.ndarray, inner: np.ndarray) -> np.ndarray:
         """Lower bound of ``radial`` on arrays of inner states: the best scanned radius."""
-        a, i = alphas[:, None], inner[:, None]
-        return np.max([objective(rs, a, i, gv).max(axis=1) for rs, gv in grids], axis=0)
+        return objective(rs, alphas[:, None], inner[:, None], g_grid).max(axis=1)
 
     best, alpha_star, inner, l_star, regime = _best_state(
         sample, lambda a, inner: radial(a, inner)[0], scan
@@ -381,7 +342,6 @@ def solve_ball(
         r_star=r_star,
         l_star=l_star,
         regime=regime,
-        domain=domain,
     )
 
 
@@ -389,57 +349,37 @@ def solve_ball(
 # Direct ascent oracle
 
 
-def _as_quadratic(problem) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
-    """Return (dense matrix or None, its diagonal-model eigenvalues, spike vector)."""
-    if isinstance(problem, GoeSample):
-        return None, problem.eigenvalues, problem.u
-    mat = np.asarray(problem, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("matrix input must be square")
-    spike = np.zeros(mat.shape[0])
-    spike[0] = 1.0
-    return mat, np.array([]), spike
-
-
 def oracle_direct(
-    problem,
+    sample: GoeSample,
     beta: float,
     f: SpikeSpec,
     g: RadialSpec | None = None,
-    R=None,
+    R: tuple[float, float] | None = None,
     restarts: int = 32,
     seed: int = 0,
     max_iter: int = 500,
 ) -> float:
     """Projected-gradient ascent lower-bound witness for the ground state.
 
-    Maximizes ``n (f(sigma . u) + beta sigma^T A sigma)`` over the unit sphere
-    (or, with ``g`` and ``R`` given, the radial objective over vectors with
-    ``|m|`` in ``R``).  ``problem`` is a GoeSample (diagonal model) or the
-    reduced symmetric matrix itself with the spike on the first coordinate.
+    Maximizes ``n (f(sigma . u) + beta sum_i lam_i sigma_i^2)`` of the
+    sample's diagonal model over the unit sphere, or, with ``g`` given, the
+    radial objective over vectors with ``|m|`` in the closed interval
+    ``R = (lo, hi)`` (default ``(0, 1)``).
 
     Multi-start with deterministic warm starts (the spike, the top eigenvector)
     plus seeded random directions; backtracking line search; renormalization
     retraction.  Returns the best objective found.
     """
-    mat, lam, u = _as_quadratic(problem)
-    n = u.size if mat is None else mat.shape[0]
+    lam, u = sample.eigenvalues, sample.u
+    n = u.size
     rng = np.random.Generator(np.random.Philox(seed))
-
-    if mat is None:
-        quad = lambda x: float(np.sum(lam * x * x))
-        quad_grad = lambda x: 2.0 * lam * x
-        top_vec = np.zeros(n)
-        top_vec[-1] = 1.0
-    else:
-        quad = lambda x: float(x @ (mat @ x))
-        quad_grad = lambda x: 2.0 * (mat @ x)
-        _, vecs = np.linalg.eigh(mat)
-        top_vec = vecs[:, -1]
+    quad = lambda x: float(np.sum(lam * x * x))
+    top_vec = np.zeros(n)
+    top_vec[-1] = 1.0
 
     ball = g is not None
     if ball:
-        domain = _normalize_domain(R if R is not None else (0.0, 1.0))
+        r_lo, r_hi = _radial_interval(R if R is not None else (0.0, 1.0))
 
     def objective(x: np.ndarray) -> float:
         if ball:
@@ -451,7 +391,7 @@ def oracle_direct(
         return n * (float(f.value(float(x @ u))) + beta * quad(x))
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        grad = float(f.d1(float(x @ u))) * u + beta * quad_grad(x)
+        grad = float(f.d1(float(x @ u))) * u + beta * (2.0 * lam * x)
         if ball:
             r = float(np.linalg.norm(x))
             if r > 0:
@@ -465,13 +405,7 @@ def oracle_direct(
             r = 1.0
         if not ball:
             return x / r
-        # clamp the radius into the nearest admissible interval
-        best_r, best_gap = None, math.inf
-        for lo, hi in domain:
-            t = min(max(r, lo), hi)
-            if abs(t - r) < best_gap:
-                best_r, best_gap = t, abs(t - r)
-        return x * (best_r / r) if r > 0 else x
+        return x * (min(max(r, r_lo), r_hi) / r)  # clamp the radius into R
 
     starts = [u.copy(), -u.copy(), top_vec, -top_vec]
     while len(starts) < max(restarts, 4):

@@ -18,7 +18,7 @@ Monte Carlo heavy and takes roughly five minutes on two cores.
 The covariance check (05) pins its parameters at a point whose dual
 location sits within a few level spacings of the spectral edge.  The
 finite-size covariance there is inflated by factors of roughly 1.3 to 2.5
-at n = 1000 (converging only around n = 64000), dominated by the single
+at n = 1000 (converging only around n = 4900), dominated by the single
 largest classical location.  The check is kept at its stated size rather
 than weakened, so it documents the preasymptotic regime and is expected
 to fail; the same covariance agreement holds comfortably at parameter

@@ -99,6 +99,17 @@ class TestConfig:
                 )
             )
 
+    def test_unknown_output_format_rejected_before_running(self, tmp_path):
+        out = str(tmp_path / "out")
+        with pytest.raises(ValueError, match="output format"):
+            sphere_config(output_format="xml", output_path=out)
+        doc = sphere_config(output_path=out).to_dict()
+        doc["output_format"] = "xml"
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="output format"):
+            load_config(str(path))
+
     def test_schema_version_checked(self, tmp_path):
         cfg = sphere_config()
         path = str(tmp_path / "cfg.json")

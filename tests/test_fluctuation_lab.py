@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sklab.fluctuation_lab import (
     FluctuationSample,
@@ -43,6 +43,20 @@ from sklab.theory_engine import (
 SPIKE = SpikeSpec.monomial(2.0, 1)
 LEAD = maximize_sphere_theory(SPIKE, 1.0)
 PAR = fluct_params_sphere(SPIKE, 1.0, LEAD)
+
+
+def exact_w_covariance(n: int, l: float) -> np.ndarray:
+    """Exact covariance of (W, W') at ``l`` for ``u`` uniform on the sphere.
+
+    ``Var(n u_i^2) = (2n - 2)/(n + 2)`` and ``Cov(n u_i^2, n u_j^2) =
+    -2/(n + 2)`` for ``i != j``, so with ``f = (1/(l - theta),
+    -1/(l - theta)^2)`` the covariance is
+    ``(2n/(n + 2)) [mean(f f^T) - mean(f) mean(f)^T]``.
+    """
+    theta = classical_locations(n)
+    f = np.array([1.0 / (l - theta), -1.0 / (l - theta) ** 2])
+    mean = f.mean(axis=1)
+    return 2 * n / (n + 2) * (f @ f.T / n - np.outer(mean, mean))
 
 
 def handcrafted_sample() -> GoeSample:
@@ -80,6 +94,7 @@ class TestComputeStatistics:
             alt_residual_sphere(1.0, st_, LEAD, PAR)
 
     @given(n=st.integers(3, 40), seed=st.integers(0, 10_000))
+    @example(n=6, seed=6452)  # top eigenvalue 2.31, above l = 2.3
     @settings(max_examples=30, deadline=None)
     def test_normalization_identity_links_w_and_raw_statistics(self, n, seed):
         # With u = g/|g| the weighted sums satisfy, exactly,
@@ -88,7 +103,7 @@ class TestComputeStatistics:
         # the derivative statistics.  This ties the three statistic families
         # together without any asymptotics.
         sample = sample_spectral_model(n, seed=seed, mode="invariance")
-        l = 2.3
+        l = max(2.3, sample.lambda_max + 1.0)
         st_ = compute_statistics(sample, l)
         theta = classical_locations(n)
         t0 = float(np.mean(1.0 / (l - theta)))
@@ -250,6 +265,39 @@ class TestLimitLaws:
             medians.append(float(np.median(diffs)))
         assert medians[1] < 0.6 * medians[0]
 
+    def test_w_covariance_matches_exact_finite_n_law(self):
+        # checked at the covariance gate's point, next to the spectral edge
+        n, draws = 300, 10_000
+        l = maximize_sphere_theory(SpikeSpec.monomial(1.0, 1), 1.0).l_hat
+        lam = classical_locations(n) - 1.0  # any spectrum below l: W, W' do not read it
+        rng = np.random.default_rng(5)
+        ws = np.empty((draws, 2))
+        for i in range(draws):
+            g = rng.standard_normal(n)
+            sample = GoeSample(n=n, eigenvalues=lam, u=g / np.linalg.norm(g))
+            st_ = compute_statistics(sample, l)
+            ws[i] = st_.W, st_.Wprime
+        exact = exact_w_covariance(n, l)
+        centered = ws - ws.mean(axis=0)
+        for i, j in ((0, 0), (0, 1), (1, 1)):
+            prod = centered[:, i] * centered[:, j]
+            stderr = prod.std(ddof=1) / math.sqrt(draws)
+            assert prod.mean() == pytest.approx(exact[i, j], abs=4 * stderr)
+
+    def test_w_covariance_enters_gate_band_near_n_4900(self):
+        # every entry of the exact law is inside the covariance gate's +-25 %
+        # band around the limit from n ~ 4900 on
+        spike = SpikeSpec.monomial(1.0, 1)
+        lead = maximize_sphere_theory(spike, 1.0)
+        sigma = fluct_params_sphere(spike, 1.0, lead).Sigma
+
+        def worst_rel(n: int) -> float:
+            cov = exact_w_covariance(n, lead.l_hat)
+            return float(np.max(np.abs(cov - sigma) / np.abs(sigma)))
+
+        assert worst_rel(1000) > 1.0
+        assert worst_rel(4800) > 0.25 >= worst_rel(4900)
+
 
 class TestResiduals:
     def test_sphere_residuals_small_at_moderate_n(self):
@@ -282,28 +330,6 @@ class TestResiduals:
             res.append(residual_ball(sol.value, st_, lead, par))
         assert len(res) >= 8
         assert float(np.median(np.abs(res))) < 0.6
-
-    def test_pair_maximizer_branches_coincide(self):
-        # even spike: both branches carry the same constants, so the branch
-        # choice cannot change the residual
-        f = SpikeSpec.monomial(1.5, 2)
-        lead = maximize_sphere_theory(f, 1.0)
-        assert lead.multiplicity == "pair"
-        par = fluct_params_sphere(f, 1.0, lead)
-        sample = sample_spectral_model(200, seed=9, mode="invariance")
-        sol = solve_sphere(sample, 1.0, f)
-        st_ = compute_statistics(sample, lead.l_hat)
-        r_auto = residual_sphere(sol.value, st_, lead, par, branch="auto")
-        r_pos = residual_sphere(sol.value, st_, lead, par, branch="positive")
-        r_neg = residual_sphere(sol.value, st_, lead, par, branch="negative")
-        assert r_auto == r_pos == r_neg
-
-    def test_negative_branch_rejected_for_single_maximizer(self):
-        sample = sample_spectral_model(100, seed=1, mode="invariance")
-        sol = solve_sphere(sample, 1.0, SPIKE)
-        st_ = compute_statistics(sample, LEAD.l_hat)
-        with pytest.raises(ValueError, match="branch"):
-            residual_sphere(sol.value, st_, LEAD, PAR, branch="negative")
 
     def test_ball_residual_requires_radial_leading_order(self):
         sample = sample_spectral_model(100, seed=1, mode="invariance")
