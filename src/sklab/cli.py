@@ -38,7 +38,7 @@ from .theory_engine import (
     GenericMinimaxInput,
     RadialSpec,
     SpikeSpec,
-    _ball_hessian,
+    ball_saddle,
     corollary_constants,
     critical_betas,
     evaluate_B,
@@ -221,26 +221,25 @@ def _residual_medians(
     if model == "sphere":
         lead = maximize_sphere_theory(spike, 1.0)
         params = fluct_params_sphere(spike, 1.0, lead)
+        solve = lambda sample: solve_sphere(sample, 1.0, spike)
+        residual = residual_sphere
     else:
         radial = RadialSpec.tap(1.0)
         lead = maximize_ball_theory(spike, radial, 1.0)
         params = fluct_params_ball(spike, radial, 1.0, lead)
         domain = (radial.domain[0] + 1e-9, radial.domain[1] - 1e-9)
+        solve = lambda sample: solve_ball(sample, 1.0, spike, radial, domain)
+        residual = residual_ball
     medians = []
     for n in sizes:
         res = []
         for i in range(trials):
             sample = sample_spectral_model(n, seed=seed_base + i, mode="invariance")
-            if model == "sphere":
-                sol = solve_sphere(sample, 1.0, spike)
-            else:
-                sol = solve_ball(sample, 1.0, spike, RadialSpec.tap(1.0), domain)
             try:
                 st = compute_statistics(sample, lead.l_hat)
             except PoleError:
                 continue
-            fn = residual_sphere if model == "sphere" else residual_ball
-            res.append(abs(fn(sol.value, st, lead, params)))
+            res.append(abs(residual(solve(sample).value, st, lead, params)))
         medians.append(float(np.median(res)))
     return medians
 
@@ -341,19 +340,7 @@ def check_crossref_constants(pairs: int = 50, tol: float = 1e-10) -> CheckResult
     lead_b = maximize_ball_theory(spike, radial, 1.0)
     par_b = fluct_params_ball(spike, radial, 1.0, lead_b)
     ab, rb, zb = lead_b.alpha_hat, lead_b.r_hat, lead_b.z_hat
-    r2 = rb * rb
-    exp_b = generic_minimax_params(
-        GenericMinimaxInput(
-            h_value=lead_b.value,
-            h_g=r2 * ab * ab / zb**2,
-            h_gg=-2.0 * r2 * ab * ab / zb**3,
-            h_y_g=np.array([2.0 * r2 * ab / zb**2, 2.0 * rb * ab * ab / zb**2]),
-            h_l_g=2.0 * r2 / zb,
-            h_l_l=r2 * zb**3 / ab**4,
-            h_l_y=np.array([-2.0 * r2 / ab, 0.0]),
-            hessian_B=_ball_hessian(ab, rb, 1.0, spike, radial),
-        )
-    )
+    exp_b = generic_minimax_params(ball_saddle(spike, radial, 1.0, lead_b))
     display_K = (2.0 * rb * ab / zb**2) * np.array(
         [[2.0 * rb / zb**2, rb * ab**4 / zb**3], [ab, 0.0]]
     )

@@ -27,7 +27,7 @@ import ctypes
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import repeat
 from typing import Literal, Sequence
 
@@ -70,27 +70,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-#: exact persisted column order
-CSV_COLUMNS = [
-    "trial_index",
-    "derived_seed",
-    "n",
-    "value",
-    "alpha_star",
-    "r_star",
-    "l_star",
-    "U_N",
-    "Uprime_N",
-    "Lambda_N",
-    "W_N",
-    "Wprime_N",
-    "X_N",
-    "Y_N",
-    "residual",
-    "valid",
-    "wall_time_ms",
-]
 
 _GOLDEN = 0x9E3779B97F4A7C15
 _MASK = (1 << 64) - 1
@@ -209,7 +188,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 @dataclass
 class TrialRecord:
-    """One persisted campaign row; field order matches ``CSV_COLUMNS``."""
+    """One persisted campaign row; its field order is ``CSV_COLUMNS``."""
 
     trial_index: int
     derived_seed: int
@@ -228,6 +207,10 @@ class TrialRecord:
     residual: float | None
     valid: bool
     wall_time_ms: float
+
+
+#: exact persisted column order
+CSV_COLUMNS = [f.name for f in fields(TrialRecord)]
 
 
 def _theory(

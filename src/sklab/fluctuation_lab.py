@@ -28,7 +28,13 @@ from typing import Sequence
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .rmt_core import GoeSample, PoleError, classical_locations, resolvent_moment, stieltjes
+from .rmt_core import (
+    GoeSample,
+    PoleError,
+    classical_locations,
+    resolvent_moment,
+    semicircle_transform,
+)
 from .theory_engine import FluctuationParams, LeadingOrder
 
 __all__ = [
@@ -79,7 +85,7 @@ def compute_statistics(sample: GoeSample, l: float) -> FluctuationSample:
             f"evaluation point {l} is within {POLE_MARGIN} of the top eigenvalue "
             f"{sample.lambda_max}"
         )
-    s0 = stieltjes("semicircle", l)
+    s0 = semicircle_transform(l)
 
     centered = n * sample.u**2 - 1.0
     root_n = math.sqrt(n)
@@ -96,7 +102,7 @@ def compute_statistics(sample: GoeSample, l: float) -> FluctuationSample:
     x = xp = y = None
     if sample.raw_gaussians is not None:
         raw_centered = sample.raw_gaussians**2 - 1.0
-        s1 = stieltjes("semicircle", l, order=1)
+        s1 = semicircle_transform(l, order=1)
         raw_sum = float(np.sum(raw_centered))
         x = (float(resolvent_moment(theta, raw_centered, l)) - s0 * raw_sum) / root_n
         xp = (-float(resolvent_moment(theta, raw_centered, l, 2)) - s1 * raw_sum) / root_n

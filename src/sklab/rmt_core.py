@@ -1,9 +1,9 @@
 """Random-matrix primitives.
 
 GOE sampling, spectral models with a planted direction, semicircle-law
-quantities (density, CDF, classical locations), Stieltjes transforms of the
-relevant spectral measures, and the Gaussian limit of linear eigenvalue
-statistics.
+quantities (density, CDF, classical locations, Stieltjes transform), the
+resolvent-moment kernel behind the transform of every weighted sample
+measure, and the Gaussian limit of linear eigenvalue statistics.
 
 Conventions used throughout the package:
 
@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "SQRT2",
     "GoeSample",
-    "MeasureSelector",
     "PoleError",
     "classical_locations",
     "linear_stat_clt",
@@ -40,28 +39,10 @@ __all__ = [
     "sample_spectral_model",
     "semicircle_cdf",
     "semicircle_density",
-    "stieltjes",
+    "semicircle_transform",
 ]
 
 SQRT2 = math.sqrt(2.0)
-
-#: Spectral measures the Stieltjes-transform evaluator understands.
-MeasureSelector = Literal[
-    "semicircle",
-    "empirical_lambda",
-    "classical_theta",
-    "weighted_lambda_u",
-    "weighted_theta_u",
-]
-
-_SELECTORS = (
-    "semicircle",
-    "empirical_lambda",
-    "classical_theta",
-    "weighted_lambda_u",
-    "weighted_theta_u",
-)
-
 
 class PoleError(ValueError):
     """Raised when a transform is evaluated at or below an atom / branch point."""
@@ -234,24 +215,13 @@ def _classical_locations_cached(n: int) -> np.ndarray:
     return theta
 
 
-def _atoms_and_weights(
-    sel: str, sample: GoeSample | None
-) -> tuple[np.ndarray, np.ndarray]:
-    if sample is None:
-        raise ValueError(f"selector {sel!r} requires a sample")
-    if sel in ("empirical_lambda", "weighted_lambda_u"):
-        atoms = sample.eigenvalues
-    else:
-        atoms = _classical_locations_cached(sample.n)
-    if sel in ("empirical_lambda", "classical_theta"):
-        weights = np.full(sample.n, 1.0 / sample.n)
-    else:
-        weights = sample.u**2
-    return atoms, weights
-
-
 def resolvent_moment(atoms: np.ndarray, weights: np.ndarray, l, k: int = 1):
     """``sum_i w_i / (l - x_i)^k`` for ``l`` to the right of every atom.
+
+    This is the kernel of every finite-``n`` transform: the Stieltjes
+    transform ``s(l) = sum_i w_i / (l - x_i)`` of the measure
+    ``sum_i w_i delta_{x_i}`` has derivatives
+    ``s^(k)(l) = (-1)^k k! resolvent_moment(atoms, w, l, k + 1)``.
 
     ``l`` may be a scalar or an array (one moment per entry).  No pole check:
     callers that cannot guarantee ``l > max(atoms)`` check it themselves.
@@ -260,61 +230,31 @@ def resolvent_moment(atoms: np.ndarray, weights: np.ndarray, l, k: int = 1):
     return (inv**k) @ weights
 
 
-def stieltjes(
-    sel: MeasureSelector,
-    l: float,
-    order: int = 0,
-    sample: GoeSample | None = None,
-) -> float:
-    """Evaluate ``s_mu^(order)(l)`` for one of the model's spectral measures.
+def semicircle_transform(l: float, order: int = 0) -> float:
+    """Derivative ``s^(order)(l)`` of the semicircle Stieltjes transform.
 
-    The convention is ``s_mu(l) = \\int (l - x)^{-1} mu(dx)`` for ``l`` to the
-    right of the support, so the k-th derivative is
-    ``(-1)^k k! \\int (l - x)^{-(k+1)} mu(dx)``.
-
-    Parameters
-    ----------
-    sel : MeasureSelector
-        ``semicircle`` uses closed forms; ``empirical_lambda`` /
-        ``classical_theta`` are uniformly weighted atoms at the eigenvalues /
-        classical locations; the ``weighted_*_u`` variants weight the same
-        atoms by ``u_i^2``.
-    l : float
-        Evaluation point, strictly to the right of every atom (the semicircle
-        transform of order 0 extends continuously to ``l = sqrt(2)``).
-    order : int
-        Derivative order, 0 through 3.
-    sample : GoeSample, optional
-        Required for every selector except ``semicircle``.
-
-    Returns
-    -------
-    float
+    The convention is ``s(l) = \\int (l - x)^{-1} mu_sc(dx) = l - sqrt(l^2 - 2)``
+    for ``l >= sqrt(2)``, so the k-th derivative is
+    ``(-1)^k k! \\int (l - x)^{-(k+1)} mu_sc(dx)``.  Orders 0 through 3; the
+    order-0 transform extends continuously to the edge ``l = sqrt(2)``, the
+    derivatives need ``l > sqrt(2)``.
     """
-    if sel not in _SELECTORS:
-        raise ValueError(f"unknown measure selector {sel!r}")
     if order not in (0, 1, 2, 3):
         raise ValueError(f"order must be in 0..3, got {order}")
     l = float(l)
-    if sel == "semicircle":
-        if l < SQRT2:
-            raise PoleError(f"semicircle transform needs l >= sqrt(2), got {l}")
-        # factored form is exact at the branch point, unlike l*l - 2
-        d = (l - SQRT2) * (l + SQRT2)
-        if order == 0:
-            return l - math.sqrt(d)
-        if d <= 0.0:
-            raise PoleError("semicircle derivatives need l > sqrt(2)")
-        if order == 1:
-            return -(l - math.sqrt(d)) / math.sqrt(d)
-        if order == 2:
-            return 2.0 / d**1.5
-        return -6.0 * l / d**2.5
-    atoms, weights = _atoms_and_weights(sel, sample)
-    if l <= atoms[-1]:
-        raise PoleError(f"l={l} is not to the right of the largest atom {atoms[-1]}")
-    k = order
-    return float(math.factorial(k) * (-1.0) ** k * resolvent_moment(atoms, weights, l, k + 1))
+    if l < SQRT2:
+        raise PoleError(f"semicircle transform needs l >= sqrt(2), got {l}")
+    # factored form is exact at the branch point, unlike l*l - 2
+    d = (l - SQRT2) * (l + SQRT2)
+    if order == 0:
+        return l - math.sqrt(d)
+    if d <= 0.0:
+        raise PoleError("semicircle derivatives need l > sqrt(2)")
+    if order == 1:
+        return -(l - math.sqrt(d)) / math.sqrt(d)
+    if order == 2:
+        return 2.0 / d**1.5
+    return -6.0 * l / d**2.5
 
 
 def linear_stat_clt(

@@ -39,6 +39,7 @@ __all__ = [
     "MinimaxExpansion",
     "RadialSpec",
     "SpikeSpec",
+    "ball_saddle",
     "corollary_constants",
     "critical_betas",
     "evaluate_B",
@@ -834,26 +835,18 @@ def fluct_params_sphere(
     )
 
 
-def fluct_params_ball(
-    f: SpikeSpec, g: RadialSpec, beta: float, leading: LeadingOrder | None = None
-) -> FluctuationParams:
-    """Fluctuation constants of the radial (TAP) ground state.
+def ball_saddle(
+    f: SpikeSpec, g: RadialSpec, beta: float, leading: LeadingOrder
+) -> GenericMinimaxInput:
+    """Saddle partials of the radial problem at the maximizer ``leading``.
 
-    Assembled through the generic minimax expansion with the analytic
-    partial derivatives of the radial problem; the limit laws of the
-    resolvent statistics depend on the maximizer overlap only.
+    The outer variable is ``y = (overlap, radius)``; ``hessian_B`` is the
+    Hessian of the radial functional there.
     """
-    if leading is None:
-        leading = maximize_ball_theory(f, g, beta)
-    if not leading.applicable:
-        raise InapplicableRegimeError(leading.reason or "inapplicable leading order")
     a, r = leading.alpha_hat, leading.r_hat
     z = leading.z_hat
-    hess = _ball_hessian(a, r, beta, f, g)
-    if not (np.trace(hess) < 0 and np.linalg.det(hess) > 0):
-        raise InapplicableRegimeError("Hessian at the maximizer is not negative definite")
     r2 = r * r
-    inp = GenericMinimaxInput(
+    return GenericMinimaxInput(
         h_value=leading.value,
         h_g=beta * r2 * a * a / z**2,
         h_gg=-2.0 * beta * r2 * a * a / z**3,
@@ -861,10 +854,29 @@ def fluct_params_ball(
         h_l_g=2.0 * beta * r2 / z,
         h_l_l=beta * r2 * z**3 / a**4,
         h_l_y=np.array([-2.0 * beta * r2 / a, 0.0]),
-        hessian_B=hess,
+        hessian_B=_ball_hessian(a, r, beta, f, g),
     )
+
+
+def fluct_params_ball(
+    f: SpikeSpec, g: RadialSpec, beta: float, leading: LeadingOrder | None = None
+) -> FluctuationParams:
+    """Fluctuation constants of the radial (TAP) ground state.
+
+    Assembled through the generic minimax expansion of :func:`ball_saddle`;
+    the limit laws of the resolvent statistics depend on the maximizer
+    overlap only.
+    """
+    if leading is None:
+        leading = maximize_ball_theory(f, g, beta)
+    if not leading.applicable:
+        raise InapplicableRegimeError(leading.reason or "inapplicable leading order")
+    inp = ball_saddle(f, g, beta, leading)
+    hess = inp.hessian_B
+    if not (np.trace(hess) < 0 and np.linalg.det(hess) > 0):
+        raise InapplicableRegimeError("Hessian at the maximizer is not negative definite")
     exp = generic_minimax_params(inp)
-    var_u, var_up, cov, lam_mean, lam_var = _limit_laws(a)
+    var_u, var_up, cov, lam_mean, lam_var = _limit_laws(leading.alpha_hat)
     return FluctuationParams(
         kappa=exp.E2,
         G=exp.G,
@@ -917,21 +929,17 @@ class GenericMinimaxInput:
 class MinimaxExpansion:
     """Coefficients of the second-order expansion of the minimax value.
 
-    The expansion reads  value = E1 + E2 * W/sqrt(n) + F/n + o(1/n)  with
+    The expansion reads  value = h_value + E2 * W/sqrt(n) + F/n + o(1/n)  with
     F = E2 * Lambda - (W, W')^T G (W, W') / 2.  ``G`` follows the closed-form
-    display convention ``K^T J^{-1} K - diag(E3, 0)``; ``dual_term`` is the
-    rank-one matrix ``w w^T / h_ll`` from eliminating the dual variable, and
-    ``G_resid = G + dual_term`` is the variant under which empirical
-    residuals converge to zero.
+    display convention ``K^T J^{-1} K - diag(h_gg, 0)`` with ``J = hessian_B``;
+    ``dual_term`` is the rank-one matrix ``w w^T / h_ll`` from eliminating the
+    dual variable, and ``G_resid = G + dual_term`` is the variant under which
+    empirical residuals converge to zero.
     """
 
-    E1: float
     E2: float
-    E3: float
     w: np.ndarray
-    L: np.ndarray
     K: np.ndarray
-    H: np.ndarray
     G: np.ndarray
     dual_term: np.ndarray
     G_resid: np.ndarray
@@ -943,22 +951,9 @@ def generic_minimax_params(inp: GenericMinimaxInput) -> MinimaxExpansion:
     w = np.array([inp.h_l_g, inp.h_g])
     L = np.column_stack([inp.h_y_g, np.zeros(d)])
     K = L - np.outer(inp.h_l_y, w) / inp.h_l_l
-    j_inv = np.linalg.inv(inp.hessian_B)
-    H = K.T @ j_inv @ K
-    G = H - np.diag([inp.h_gg, 0.0])
+    G = K.T @ np.linalg.inv(inp.hessian_B) @ K - np.diag([inp.h_gg, 0.0])
     dual = np.outer(w, w) / inp.h_l_l
-    return MinimaxExpansion(
-        E1=inp.h_value,
-        E2=inp.h_g,
-        E3=inp.h_gg,
-        w=w,
-        L=L,
-        K=K,
-        H=H,
-        G=G,
-        dual_term=dual,
-        G_resid=G + dual,
-    )
+    return MinimaxExpansion(E2=inp.h_g, w=w, K=K, G=G, dual_term=dual, G_resid=G + dual)
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,14 @@ def random_records(count: int, rng: np.random.Generator) -> list[TrialRecord]:
 
 
 class TestPersistence:
+    def test_csv_header_is_frozen(self):
+        # the persisted format of SCHEMA_VERSION 1; reordering TrialRecord
+        # fields would change it
+        assert ",".join(CSV_COLUMNS) == (
+            "trial_index,derived_seed,n,value,alpha_star,r_star,l_star,U_N,Uprime_N,"
+            "Lambda_N,W_N,Wprime_N,X_N,Y_N,residual,valid,wall_time_ms"
+        )
+
     def test_csv_round_trip_of_random_records(self, tmp_path):
         records = random_records(100, np.random.default_rng(5))
         emit(records, {"valid_count": 1}, {"leading": None}, str(tmp_path / "r"), "csv")

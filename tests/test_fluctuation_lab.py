@@ -28,7 +28,7 @@ from sklab.rmt_core import (
     PoleError,
     classical_locations,
     sample_spectral_model,
-    stieltjes,
+    semicircle_transform,
 )
 from sklab.theory_engine import (
     LeadingOrder,
@@ -108,8 +108,8 @@ class TestComputeStatistics:
         theta = classical_locations(n)
         t0 = float(np.mean(1.0 / (l - theta)))
         t1 = float(np.mean(-1.0 / (l - theta) ** 2))
-        s0 = stieltjes("semicircle", l)
-        s1 = stieltjes("semicircle", l, order=1)
+        s0 = semicircle_transform(l)
+        s1 = semicircle_transform(l, order=1)
         denom = 1.0 + st_.Y / math.sqrt(n)
         assert st_.W == pytest.approx((st_.X - st_.Y * (t0 - s0)) / denom, abs=1e-10)
         assert st_.Wprime == pytest.approx(
@@ -158,7 +158,7 @@ class TestComputeStatistics:
         st_ = compute_statistics(sample, l)
         n, lam, u = sample.n, sample.eigenvalues, sample.u
         theta = classical_locations(n)
-        s0 = stieltjes("semicircle", l)
+        s0 = semicircle_transform(l)
         u_loop = math.fsum(
             (n * u[i] ** 2 - 1) / (l - lam[i]) for i in range(n)
         ) / math.sqrt(n)

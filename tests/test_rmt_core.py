@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,15 +8,15 @@ from scipy import integrate
 
 from sklab.rmt_core import (
     SQRT2,
-    GoeSample,
     PoleError,
     classical_locations,
     linear_stat_clt,
+    resolvent_moment,
     sample_goe,
     sample_spectral_model,
     semicircle_cdf,
     semicircle_density,
-    stieltjes,
+    semicircle_transform,
 )
 
 # ---------------------------------------------------------------------------
@@ -90,67 +92,75 @@ def test_classical_locations_are_quantiles(n):
 
 
 # ---------------------------------------------------------------------------
-# Stieltjes transforms
+# Semicircle transform
 
 
 def test_semicircle_stieltjes_frozen_values():
-    assert stieltjes("semicircle", 1.5) == pytest.approx(1.0, abs=1e-14)
-    assert stieltjes("semicircle", 1.5, order=2) == pytest.approx(16.0, abs=1e-10)
-    assert stieltjes("semicircle", 1.5, order=3) == pytest.approx(-288.0, abs=1e-9)
-    assert stieltjes("semicircle", SQRT2) == pytest.approx(SQRT2, abs=1e-14)
+    assert semicircle_transform(1.5) == pytest.approx(1.0, abs=1e-14)
+    assert semicircle_transform(1.5, order=2) == pytest.approx(16.0, abs=1e-10)
+    assert semicircle_transform(1.5, order=3) == pytest.approx(-288.0, abs=1e-9)
+    assert semicircle_transform(SQRT2) == pytest.approx(SQRT2, abs=1e-14)
 
 
 def test_semicircle_stieltjes_matches_quadrature():
     for l in (1.45, 1.8, 3.0, 10.0):
-        assert stieltjes("semicircle", l) == pytest.approx(
-            stieltjes_by_quadrature(l), abs=1e-9
-        )
+        assert semicircle_transform(l) == pytest.approx(stieltjes_by_quadrature(l), abs=1e-9)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_semicircle_derivatives_match_finite_differences(order):
-    f = lambda l: stieltjes("semicircle", l)
     for l in (1.6, 2.0, 3.5):
-        exact = stieltjes("semicircle", l, order=order)
-        approx = derivative_oracle(f, l, order)
+        exact = semicircle_transform(l, order=order)
+        approx = derivative_oracle(semicircle_transform, l, order)
         assert exact == pytest.approx(approx, rel=2e-4, abs=1e-5)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.floats(min_value=SQRT2 + 1e-9, max_value=60.0))
 def test_semicircle_stieltjes_quadratic_identity(l):
-    s = stieltjes("semicircle", l)
+    s = semicircle_transform(l)
     assert s * s - 2 * l * s + 2 == pytest.approx(0.0, abs=1e-9 * max(1.0, l * l))
 
 
 def test_semicircle_domain_errors():
     with pytest.raises(PoleError):
-        stieltjes("semicircle", 1.0)
+        semicircle_transform(1.0)
     with pytest.raises(PoleError):
-        stieltjes("semicircle", SQRT2, order=1)
+        semicircle_transform(SQRT2, order=1)
 
 
-def two_atom_sample() -> GoeSample:
-    r = 1.0 / SQRT2
-    return GoeSample(n=2, eigenvalues=np.array([-1.0, 1.0]), u=np.array([r, r]))
+def test_semicircle_order_validation():
+    with pytest.raises(ValueError, match="order must be in 0..3"):
+        semicircle_transform(2.0, order=4)
+
+
+# ---------------------------------------------------------------------------
+# Resolvent-moment kernel: s^(k)(l) = (-1)^k k! resolvent_moment(x, w, l, k + 1)
 
 
 def test_weighted_transform_two_atoms():
     # equal weights at +-1: s(l) = l/(l^2-1)
-    s = two_atom_sample()
-    assert stieltjes("weighted_lambda_u", 2.0, sample=s) == pytest.approx(2.0 / 3.0)
-    assert stieltjes("empirical_lambda", 2.0, sample=s) == pytest.approx(2.0 / 3.0)
-    # order 1: -[w1/(l-a1)^2 + w2/(l-a2)^2] = -(1/2)(1/9 + 1) = -5/9
-    assert stieltjes("weighted_lambda_u", 2.0, order=1, sample=s) == pytest.approx(
-        -5.0 / 9.0
-    )
+    atoms, w = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    assert resolvent_moment(atoms, w, 2.0) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    # second moment (1/2)(1/9 + 1) = 5/9, so s'(2) = -5/9
+    assert resolvent_moment(atoms, w, 2.0, 2) == pytest.approx(5.0 / 9.0, rel=1e-15)
+    # third moment (1/2)(1/27 + 1) = 14/27
+    assert resolvent_moment(atoms, w, 2.0, 3) == pytest.approx(14.0 / 27.0, rel=1e-15)
 
 
 def test_theta_transform_uses_classical_locations():
-    s = two_atom_sample()
-    got = stieltjes("classical_theta", 3.0, sample=s)
+    # the n=2 classical locations are 0 and sqrt(2)
     th = classical_locations(2)
-    assert got == pytest.approx(0.5 * (1 / (3 - th[0]) + 1 / (3 - th[1])), abs=1e-14)
+    got = resolvent_moment(th, np.full(2, 0.5), 3.0)
+    assert got == pytest.approx(0.5 * (1 / 3 + 1 / (3 - SQRT2)), abs=1e-14)
+
+
+def _sample_measure(name: str) -> tuple[np.ndarray, np.ndarray, float]:
+    """Atoms, weights and a point to their right for one sample measure."""
+    smp = sample_spectral_model(12, seed=7, mode="rotate")
+    atoms = smp.eigenvalues if "lambda" in name else classical_locations(smp.n)
+    weights = smp.u**2 if name.startswith("weighted") else np.full(smp.n, 1.0 / smp.n)
+    return atoms, weights, float(atoms[-1]) + 0.9
 
 
 @pytest.mark.parametrize(
@@ -158,29 +168,23 @@ def test_theta_transform_uses_classical_locations():
 )
 @pytest.mark.parametrize("order", [1, 2, 3])
 def test_empirical_derivatives_match_finite_differences(sel, order):
-    smp = sample_spectral_model(12, seed=7, mode="rotate")
-    f = lambda l: stieltjes(sel, l, sample=smp)
-    l = smp.lambda_max + 0.9
-    exact = stieltjes(sel, l, order=order, sample=smp)
+    # sel names the measure: eigenvalue (lambda) or classical-location
+    # (theta) atoms, weighted uniformly or by u_i^2
+    atoms, w, l = _sample_measure(sel)
+    f = lambda t: float(resolvent_moment(atoms, w, t))
+    exact = (-1) ** order * math.factorial(order) * resolvent_moment(atoms, w, l, order + 1)
     approx = derivative_oracle(f, l, order)
     assert exact == pytest.approx(approx, rel=2e-4, abs=2e-5)
 
 
-def test_empirical_pole_errors():
-    s = two_atom_sample()
-    with pytest.raises(PoleError):
-        stieltjes("empirical_lambda", 1.0, sample=s)
-    with pytest.raises(PoleError):
-        stieltjes("weighted_lambda_u", 0.5, sample=s)
-    with pytest.raises(ValueError):
-        stieltjes("empirical_lambda", 2.0)  # sample missing
-
-
-def test_selector_and_order_validation():
-    with pytest.raises(ValueError):
-        stieltjes("nope", 2.0)
-    with pytest.raises(ValueError):
-        stieltjes("semicircle", 2.0, order=4)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_resolvent_moment_array_l_matches_scalar_calls(k):
+    atoms, w, l = _sample_measure("weighted_lambda_u")
+    ls = l + np.array([0.0, 0.1, 0.5, 2.0, 10.0])
+    got = resolvent_moment(atoms, w, ls, k)
+    assert got.shape == ls.shape
+    for li, gi in zip(ls, got):
+        assert gi == pytest.approx(float(resolvent_moment(atoms, w, float(li), k)), rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sklab.rmt_core import SQRT2, PoleError, stieltjes
+from sklab.rmt_core import SQRT2, PoleError, semicircle_transform
 from sklab.theory_engine import (
     GenericMinimaxInput,
     InapplicableRegimeError,
@@ -465,7 +465,7 @@ def test_sigma_matches_maximizer_coordinates():
     for h, b in [(1.0, 1.0), (1.5, 0.8), (0.7, 0.4)]:
         lead = maximize_sphere_theory(SpikeSpec.monomial(h, 1), b)
         fp = fluct_params_sphere(SpikeSpec.monomial(h, 1), b, lead)
-        s0, s1, s2, s3 = (stieltjes("semicircle", lead.l_hat, order=k) for k in range(4))
+        s0, s1, s2, s3 = (semicircle_transform(lead.l_hat, order=k) for k in range(4))
         assert fp.Sigma[0, 0] == pytest.approx(-2 * s1 - 2 * s0 * s0, rel=1e-9)
         assert fp.Sigma[0, 1] == pytest.approx(-s2 - 2 * s0 * s1, rel=1e-9)
         assert fp.Sigma[1, 1] == pytest.approx(-s3 / 3 - 2 * s1 * s1, rel=1e-9)
