@@ -22,7 +22,7 @@ numerical demonstration).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -68,7 +68,6 @@ class FluctuationSample:
     X: float | None = None
     Xprime: float | None = None
     Y: float | None = None
-    valid: bool = True
 
 
 def compute_statistics(sample: GoeSample, l: float) -> FluctuationSample:
@@ -189,19 +188,10 @@ def alt_residual_sphere(
         raise ValueError(
             "independent-summand statistics unavailable: sample carries no raw gaussians"
         )
-    if not leading.applicable:
-        raise ValueError(
-            f"the fluctuation description does not apply here: {leading.reason}"
-        )
-    n = stats.n
-    v = np.array([stats.X, stats.Xprime])
+    swapped = replace(stats, U=stats.X, Uprime=stats.Xprime)
     return (
-        value
-        - n * leading.value
-        - math.sqrt(n) * params.kappa * stats.X
-        - params.kappa * stats.Lambda
+        _second_order_residual(value, swapped, leading, params)
         + params.kappa * stats.X * stats.Y
-        + 0.5 * float(v @ params.G_resid @ v)
     )
 
 
@@ -211,18 +201,17 @@ def aggregate(
 ) -> dict:
     """Empirical moments (and KS distances, given theory constants) of a batch.
 
-    Only valid samples enter; at least two are required.  With ``params``
-    given, each statistic is standardized by its theoretical law and compared
-    to a standard Gaussian via the Kolmogorov-Smirnov distance.
+    At least two samples are required.  With ``params`` given, each statistic
+    is standardized by its theoretical law and compared to a standard
+    Gaussian via the Kolmogorov-Smirnov distance.
     """
-    valid = [s for s in samples if s.valid]
-    if len(valid) < 2:
-        raise ValueError(f"need at least 2 valid samples, got {len(valid)}")
-    arr = lambda name: np.array([getattr(s, name) for s in valid], dtype=float)
+    if len(samples) < 2:
+        raise ValueError(f"need at least 2 samples, got {len(samples)}")
+    arr = lambda name: np.array([getattr(s, name) for s in samples], dtype=float)
     u, up, lam = arr("U"), arr("Uprime"), arr("Lambda")
     w, wp = arr("W"), arr("Wprime")
     out = {
-        "count": len(valid),
+        "count": len(samples),
         "mean_U": float(u.mean()),
         "var_U": float(u.var(ddof=1)),
         "mean_Uprime": float(up.mean()),
@@ -238,7 +227,7 @@ def aggregate(
         "var_Wprime": float(wp.var(ddof=1)),
         "cov_WWprime": float(np.cov(w, wp, ddof=1)[0, 1]),
     }
-    have_raw = all(s.X is not None for s in valid)
+    have_raw = all(s.X is not None for s in samples)
     if have_raw:
         x, xp, y = arr("X"), arr("Xprime"), arr("Y")
         out.update(

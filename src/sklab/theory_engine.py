@@ -10,8 +10,12 @@ correction being the main instance).  This module locates the maximizers —
 in closed form for monomial spikes, numerically otherwise — exposes the
 phase-transition couplings, and evaluates every constant appearing in the
 second-order (Gaussian fluctuation) description: the coupling ``kappa`` of
-the leading Gaussian, the quadratic matrix ``G``, the limit laws of the
-resolvent-type statistics, and the generic minimax expansion they come from.
+the leading Gaussian, the quadratic matrix ``G`` and the limit laws of the
+resolvent-type statistics.  Both models take ``kappa``, ``G`` and ``w`` from
+their saddle partials (``sphere_saddle``, ``ball_saddle``) through one
+generic minimax expansion (``generic_minimax_params``).  The literal closed
+forms of ``corollary_constants`` (sphere, degrees 1 and 2) are kept as the
+independent reference for that expansion.
 
 Geometry shorthand used throughout, for a maximizer overlap ``a``::
 
@@ -52,6 +56,7 @@ __all__ = [
     "limiting_lambda_law",
     "maximize_ball_theory",
     "maximize_sphere_theory",
+    "sphere_saddle",
     "tap_threshold",
 ]
 
@@ -752,11 +757,12 @@ def maximize_ball_theory(f: SpikeSpec, g: RadialSpec, beta: float) -> LeadingOrd
 class FluctuationParams:
     """Constants of the second-order (Gaussian) description at a maximizer.
 
-    ``G`` is the quadratic-coefficient matrix in the closed-form display
-    convention; ``G_resid`` additionally carries the rank-one term
-    ``w w^T / h_ll`` produced by eliminating the dual variable, which is the
-    variant the empirical residuals vanish under.  ``Sigma`` is the limit
-    covariance of the weighted resolvent pair, assembled from
+    ``kappa``, ``G``, ``w`` and ``h_ll`` come from the saddle partials
+    through :func:`generic_minimax_params`.  ``G`` is the quadratic-coefficient
+    matrix in the closed-form display convention; ``G_resid`` adds the
+    rank-one term ``w w^T / h_ll`` produced by eliminating the dual variable,
+    which is the variant the empirical residuals vanish under.  ``Sigma`` is
+    the limit covariance of the weighted resolvent pair, assembled from
     ``var_U``/``var_Uprime``/``cov_UUprime`` in maximizer coordinates; it
     equals the semicircle-transform expression, which loses digits to
     cancellation near the spectral edge.
@@ -769,10 +775,17 @@ class FluctuationParams:
     cov_UUprime: float
     lambda_mean: float
     lambda_var: float
-    Sigma: np.ndarray
     w: np.ndarray
     h_ll: float
-    G_resid: np.ndarray
+
+    @property
+    def Sigma(self) -> np.ndarray:
+        c = self.cov_UUprime
+        return np.array([[self.var_U, c], [c, self.var_Uprime]])
+
+    @property
+    def G_resid(self) -> np.ndarray:
+        return self.G + np.outer(self.w, self.w) / self.h_ll
 
 
 def limiting_lambda_law(l: float) -> tuple[float, float]:
@@ -785,15 +798,39 @@ def limiting_lambda_law(l: float) -> tuple[float, float]:
     return mean, 1.0 / (d * d)
 
 
-def _limit_laws(alpha_hat: float) -> tuple[float, float, float, float, float]:
+def _fluct_params(inp: GenericMinimaxInput, alpha_hat: float) -> FluctuationParams:
+    """Expand the saddle ``inp``; the statistics' limit laws depend on the overlap only."""
+    if not np.all(np.linalg.eigvalsh(inp.hessian_B) < 0.0):
+        raise InapplicableRegimeError("Hessian at the maximizer is not negative definite")
+    exp = generic_minimax_params(inp)
     a2 = alpha_hat * alpha_hat
     z = math.sqrt(2.0 * (1.0 - a2))
-    var_u = z**4 / a2
-    var_up = z**6 * (2.0 + a2 + a2 * a2) / a2**5
-    cov = -(z**5) * (1.0 + a2) / a2**3
-    lam_mean = z**3 / (2.0 * a2 * a2)
-    lam_var = z**4 / a2**4
-    return var_u, var_up, cov, lam_mean, lam_var
+    return FluctuationParams(
+        kappa=exp.E2,
+        G=exp.G,
+        var_U=z**4 / a2,
+        var_Uprime=z**6 * (2.0 + a2 + a2 * a2) / a2**5,
+        cov_UUprime=-(z**5) * (1.0 + a2) / a2**3,
+        lambda_mean=z**3 / (2.0 * a2 * a2),
+        lambda_var=z**4 / a2**4,
+        w=exp.w,
+        h_ll=inp.h_l_l,
+    )
+
+
+def sphere_saddle(f: SpikeSpec, beta: float, leading: LeadingOrder) -> GenericMinimaxInput:
+    """Saddle partials of the sphere problem at ``leading``; ``y`` is the overlap."""
+    a, z = leading.alpha_hat, leading.z_hat
+    return GenericMinimaxInput(
+        h_value=leading.value,
+        h_g=beta * a * a / z**2,
+        h_gg=-2.0 * beta * a * a / z**3,
+        h_y_g=np.array([2.0 * beta * a / z**2]),
+        h_l_g=2.0 * beta / z,
+        h_l_l=beta * z**3 / a**4,
+        h_l_y=np.array([-2.0 * beta / a]),
+        hessian_B=np.array([[_sphere_B_second(a, beta, f)]]),
+    )
 
 
 def fluct_params_sphere(
@@ -801,6 +838,7 @@ def fluct_params_sphere(
 ) -> FluctuationParams:
     """Fluctuation constants of the sphere ground state.
 
+    Assembled through the generic minimax expansion of :func:`sphere_saddle`.
     Requires an applicable leading order (interior nonzero overlap, strictly
     negative curvature); raises ``InapplicableRegimeError`` otherwise.
     """
@@ -808,31 +846,7 @@ def fluct_params_sphere(
         leading = maximize_sphere_theory(f, beta)
     if not leading.applicable:
         raise InapplicableRegimeError(leading.reason or "inapplicable leading order")
-    a = leading.alpha_hat
-    z = leading.z_hat
-    b_pp = _sphere_B_second(a, beta, f)
-    if b_pp >= 0.0:
-        raise InapplicableRegimeError("curvature at the maximizer is not negative")
-    kappa = beta * a * a / z**2
-    k_row = (2.0 * beta * a / z**4) * np.array([2.0, a**4 / z])
-    e3 = -2.0 * beta * a * a / z**3
-    G = np.outer(k_row, k_row) / b_pp - np.diag([e3, 0.0])
-    w = np.array([2.0 * beta / z, beta * a * a / z**2])
-    h_ll = beta * z**3 / a**4
-    var_u, var_up, cov, lam_mean, lam_var = _limit_laws(a)
-    return FluctuationParams(
-        kappa=kappa,
-        G=G,
-        var_U=var_u,
-        var_Uprime=var_up,
-        cov_UUprime=cov,
-        lambda_mean=lam_mean,
-        lambda_var=lam_var,
-        Sigma=np.array([[var_u, cov], [cov, var_up]]),
-        w=w,
-        h_ll=h_ll,
-        G_resid=G + np.outer(w, w) / h_ll,
-    )
+    return _fluct_params(sphere_saddle(f, beta, leading), leading.alpha_hat)
 
 
 def ball_saddle(
@@ -863,33 +877,15 @@ def fluct_params_ball(
 ) -> FluctuationParams:
     """Fluctuation constants of the radial (TAP) ground state.
 
-    Assembled through the generic minimax expansion of :func:`ball_saddle`;
-    the limit laws of the resolvent statistics depend on the maximizer
-    overlap only.
+    Assembled through the generic minimax expansion of :func:`ball_saddle`.
+    Requires an applicable leading order with a negative definite Hessian;
+    raises ``InapplicableRegimeError`` otherwise.
     """
     if leading is None:
         leading = maximize_ball_theory(f, g, beta)
     if not leading.applicable:
         raise InapplicableRegimeError(leading.reason or "inapplicable leading order")
-    inp = ball_saddle(f, g, beta, leading)
-    hess = inp.hessian_B
-    if not (np.trace(hess) < 0 and np.linalg.det(hess) > 0):
-        raise InapplicableRegimeError("Hessian at the maximizer is not negative definite")
-    exp = generic_minimax_params(inp)
-    var_u, var_up, cov, lam_mean, lam_var = _limit_laws(leading.alpha_hat)
-    return FluctuationParams(
-        kappa=exp.E2,
-        G=exp.G,
-        var_U=var_u,
-        var_Uprime=var_up,
-        cov_UUprime=cov,
-        lambda_mean=lam_mean,
-        lambda_var=lam_var,
-        Sigma=np.array([[var_u, cov], [cov, var_up]]),
-        w=exp.w,
-        h_ll=inp.h_l_l,
-        G_resid=exp.G_resid,
-    )
+    return _fluct_params(ball_saddle(f, g, beta, leading), leading.alpha_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -932,17 +928,15 @@ class MinimaxExpansion:
     The expansion reads  value = h_value + E2 * W/sqrt(n) + F/n + o(1/n)  with
     F = E2 * Lambda - (W, W')^T G (W, W') / 2.  ``G`` follows the closed-form
     display convention ``K^T J^{-1} K - diag(h_gg, 0)`` with ``J = hessian_B``;
-    ``dual_term`` is the rank-one matrix ``w w^T / h_ll`` from eliminating the
-    dual variable, and ``G_resid = G + dual_term`` is the variant under which
-    empirical residuals converge to zero.
+    the residuals use ``G + w w^T / h_l_l`` instead, the rank-one term coming
+    from eliminating the dual variable (``FluctuationParams.G_resid``).  This
+    is the one route from saddle partials to the constants of both models.
     """
 
     E2: float
     w: np.ndarray
     K: np.ndarray
     G: np.ndarray
-    dual_term: np.ndarray
-    G_resid: np.ndarray
 
 
 def generic_minimax_params(inp: GenericMinimaxInput) -> MinimaxExpansion:
@@ -952,8 +946,7 @@ def generic_minimax_params(inp: GenericMinimaxInput) -> MinimaxExpansion:
     L = np.column_stack([inp.h_y_g, np.zeros(d)])
     K = L - np.outer(inp.h_l_y, w) / inp.h_l_l
     G = K.T @ np.linalg.inv(inp.hessian_B) @ K - np.diag([inp.h_gg, 0.0])
-    dual = np.outer(w, w) / inp.h_l_l
-    return MinimaxExpansion(E2=inp.h_g, w=w, K=K, G=G, dual_term=dual, G_resid=G + dual)
+    return MinimaxExpansion(E2=inp.h_g, w=w, K=K, G=G)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,8 +1012,6 @@ def corollary_constants(k: int, h: float, beta: float) -> FluctuationParams:
         cov_UUprime=cov,
         lambda_mean=lam_mean,
         lambda_var=lam_var,
-        Sigma=np.array([[var_u, cov], [cov, var_up]]),
         w=w,
         h_ll=h_ll,
-        G_resid=G + np.outer(w, w) / h_ll,
     )

@@ -331,6 +331,19 @@ class TestPersistence:
             "Lambda_N,W_N,Wprime_N,X_N,Y_N,residual,valid,wall_time_ms"
         )
 
+    def test_sidecar_keys_are_frozen(self):
+        # the persisted theory block of SCHEMA_VERSION 1; Sigma and G_resid
+        # are derived properties, so no dataclass field pins their keys
+        side = theory_sidecar(sphere_config())
+        assert list(side["fluctuation"]) == [
+            "kappa", "G", "G_resid", "w", "h_ll", "var_U", "var_Uprime",
+            "cov_UUprime", "lambda_mean", "lambda_var", "Sigma",
+        ]
+        assert list(side["leading"]) == [
+            "alpha_hat", "l_hat", "z_hat", "value", "multiplicity", "r_hat",
+            "applicable", "reason",
+        ]
+
     def test_csv_round_trip_of_random_records(self, tmp_path):
         records = random_records(100, np.random.default_rng(5))
         emit(records, {"valid_count": 1}, {"leading": None}, str(tmp_path / "r"), "csv")
