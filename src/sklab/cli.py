@@ -29,11 +29,12 @@ from .experiment_harness import (
     ExperimentConfig,
     load_config,
     run_experiment,
+    run_trials,
     theory_sidecar,
 )
-from .fluctuation_lab import compute_statistics, residual_ball, residual_sphere
-from .reduction_solver import oracle_direct, solve_ball, solve_sphere
-from .rmt_core import PoleError, linear_stat_clt, sample_goe, sample_spectral_model
+from .fluctuation_lab import compute_statistics
+from .reduction_solver import oracle_direct, solve_sphere
+from .rmt_core import linear_stat_clt, sample_goe, sample_spectral_model
 from .theory_engine import (
     RadialSpec,
     SpikeSpec,
@@ -41,7 +42,6 @@ from .theory_engine import (
     corollary_constants,
     critical_betas,
     evaluate_B,
-    fluct_params_ball,
     fluct_params_sphere,
     generic_minimax_params,
     maximize_ball_theory,
@@ -118,17 +118,29 @@ def check_clt_quadrature(draws: int = 10_000, n: int = 200) -> CheckResult:
     )
 
 
+def _gate_trials(model: str, beta: float, n: int, trials: int, seed_base: int) -> tuple:
+    """Campaign trials of ``monomial:1:1`` on seeds ``seed_base + i``.
+
+    Two pool workers with one-thread OpenBLAS keep the figures independent of
+    the core count.  Returns the leading order, the constants and the records.
+    """
+    config = ExperimentConfig(
+        model=model, n=n, trials=trials, master_seed=seed_base, beta=beta,
+        spike=SpikeSpec.monomial(1.0, 1), parallelism=2,
+        radial=RadialSpec.tap(beta) if model == "ball" else None,
+    )
+    (lead, params, _), results = run_trials(config, range(seed_base, seed_base + trials))
+    return lead, params, [rec for rec, _ in results]
+
+
 def check_leading_order_lln(
     n: int = 2000, trials: int = 100, band: float = 0.05, min_within: int = 95,
     median_tol: float = 0.01,
 ) -> CheckResult:
     """Ground state per coordinate concentrates on the limit value 3."""
-    spike = SpikeSpec.monomial(1.0, 1)
     target = 3.0  # sqrt(h^2 + 2 beta^2) at h=1, beta=2
-    vals = np.empty(trials)
-    for i in range(trials):
-        sample = sample_spectral_model(n, seed=20_000 + i, mode="invariance")
-        vals[i] = solve_sphere(sample, 2.0, spike).value / n
+    _, _, records = _gate_trials("sphere", 2.0, n, trials, 20_000)
+    vals = np.array([r.value / n for r in records if r.value is not None])
     within = int(np.sum(np.abs(vals - target) <= band))
     med_err = abs(float(np.median(vals)) - target)
     return CheckResult(
@@ -143,17 +155,13 @@ def check_first_order_clt(
     n: int = 1000, trials: int = 400, var_rtol: float = 0.20
 ) -> CheckResult:
     """Scaled ground-state deviations have the predicted Gaussian variance."""
-    spike = SpikeSpec.monomial(1.0, 1)
-    lead = maximize_sphere_theory(spike, 1.0)
     target = 1.0 / 3.0  # kappa^2 Var(U) = beta^2 h^2 / (h^2 + 2 beta^2)
-    scaled = np.empty(trials)
-    for i in range(trials):
-        sample = sample_spectral_model(n, seed=30_000 + i, mode="invariance")
-        value = solve_sphere(sample, 1.0, spike).value
-        scaled[i] = (value - n * lead.value) / math.sqrt(n)
+    lead, _, records = _gate_trials("sphere", 1.0, n, trials, 30_000)
+    values = np.array([r.value for r in records if r.value is not None])
+    scaled = (values - n * lead.value) / math.sqrt(n)
     var = float(scaled.var(ddof=1))
     mean = float(scaled.mean())
-    se = math.sqrt(var / trials)
+    se = math.sqrt(var / len(scaled))
     var_ok = abs(var - target) <= var_rtol * target
     mean_ok = abs(mean) <= 3.0 * se
     return CheckResult(
@@ -191,19 +199,9 @@ def check_w_covariance(
     n: int = 1000, trials: int = 400, rtol: float = 0.25
 ) -> CheckResult:
     """Location-statistic covariance vs its limit at the h=1, beta=1 point."""
-    spike = SpikeSpec.monomial(1.0, 1)
-    lead = maximize_sphere_theory(spike, 1.0)
-    params = fluct_params_sphere(spike, 1.0, lead)
-    w, wp = [], []
-    for i in range(trials):
-        sample = sample_spectral_model(n, seed=50_000 + i, mode="invariance")
-        try:
-            st = compute_statistics(sample, lead.l_hat)
-        except PoleError:
-            continue
-        w.append(st.W)
-        wp.append(st.Wprime)
-    emp = np.cov(np.array([w, wp]), ddof=1)
+    _, params, records = _gate_trials("sphere", 1.0, n, trials, 50_000)
+    w = [(r.W_N, r.Wprime_N) for r in records if r.W_N is not None]
+    emp = np.cov(np.array(w).T, ddof=1)
     rel = np.abs(emp - params.Sigma) / np.abs(params.Sigma)
     flat = [round(float(r), 3) for r in rel[np.triu_indices(2)]]
     return CheckResult(
@@ -217,31 +215,12 @@ def check_w_covariance(
 def _residual_medians(
     model: str, sizes: tuple[int, ...], trials: int, seed_base: int
 ) -> list[float]:
-    spike = SpikeSpec.monomial(1.0, 1)
-    if model == "sphere":
-        lead = maximize_sphere_theory(spike, 1.0)
-        params = fluct_params_sphere(spike, 1.0, lead)
-        solve = lambda sample: solve_sphere(sample, 1.0, spike)
-        residual = residual_sphere
-    else:
-        radial = RadialSpec.tap(1.0)
-        lead = maximize_ball_theory(spike, radial, 1.0)
-        params = fluct_params_ball(spike, radial, 1.0, lead)
-        domain = (radial.domain[0] + 1e-9, radial.domain[1] - 1e-9)
-        solve = lambda sample: solve_ball(sample, 1.0, spike, radial, domain)
-        residual = residual_ball
-    medians = []
-    for n in sizes:
-        res = []
-        for i in range(trials):
-            sample = sample_spectral_model(n, seed=seed_base + i, mode="invariance")
-            try:
-                st = compute_statistics(sample, lead.l_hat)
-            except PoleError:
-                continue
-            res.append(abs(residual(solve(sample).value, st, lead, params)))
-        medians.append(float(np.median(res)))
-    return medians
+    """Median |residual| at each size, over the draws that have statistics."""
+    runs = [_gate_trials(model, 1.0, n, trials, seed_base)[2] for n in sizes]
+    return [
+        float(np.median([abs(r.residual) for r in rs if r.residual is not None]))
+        for rs in runs
+    ]
 
 
 def check_sphere_residual_trend(

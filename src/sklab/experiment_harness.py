@@ -1,17 +1,18 @@
 """Reproducible Monte Carlo campaigns over the spiked ground-state solvers.
 
 A campaign is described by an :class:`ExperimentConfig` (JSON-serializable,
-schema-versioned).  Each trial derives its own seed from the master seed and
-the trial index, draws a sample, solves the finite-n problem, evaluates the
-fluctuation statistics at the theoretical dual point and computes the
-second-order residual.  Results are persisted as a CSV table (fixed column
-order, floats at 17 significant digits) plus a JSON mirror carrying the
-aggregate summary and a theory sidecar, so a campaign re-run is byte-identical
-apart from wall times.
+schema-versioned).  Each trial draws a sample from its seed, solves the
+finite-n problem, evaluates the fluctuation statistics at the theoretical
+dual point and computes the second-order residual.  :func:`run_trials` runs
+one trial per explicit seed; the verification gate calls it directly, and a
+campaign calls it on seeds derived from the master seed and the trial index.
+Results are persisted as a CSV table (fixed column order, floats at 17
+significant digits) plus a JSON mirror carrying the aggregate summary and a
+theory sidecar, so a campaign re-run is byte-identical apart from wall times.
 
-The limit theory is computed once per campaign and every trial takes the
-same path, :func:`_run_trial` applied to the configuration, the theory and
-the trial index: in this process with ``parallelism == 1``, otherwise
+The limit theory is computed once per run and every trial takes the same
+path, :func:`_run_trial` applied to the configuration, the theory, the trial
+index and the seed: in this process with ``parallelism == 1``, otherwise
 through a pool of ``parallelism`` worker processes whose OpenBLAS runs one
 thread each.  The output is ordered by trial index, independent of
 scheduling.  A trial that raises a numerical error becomes a
@@ -65,6 +66,7 @@ __all__ = [
     "parse_campaign_csv",
     "parse_campaign_json",
     "run_experiment",
+    "run_trials",
     "save_config",
     "theory_sidecar",
 ]
@@ -316,9 +318,9 @@ def _run_trial(
     config: ExperimentConfig,
     theory: tuple[LeadingOrder, FluctuationParams | None],
     trial_index: int,
+    seed: int,
 ) -> tuple[TrialRecord, FluctuationSample | None]:
     """Execute one trial; numerical errors become invalid rows, bugs propagate."""
-    seed = derive_seed(config.master_seed, trial_index)
     start = time.perf_counter()
 
     def elapsed_ms() -> float:
@@ -377,6 +379,24 @@ def _run_trial(
     return record, stats
 
 
+def run_trials(
+    config: ExperimentConfig, seeds: Sequence[int]
+) -> tuple[tuple, list[tuple[TrialRecord, FluctuationSample | None]]]:
+    """Run trial ``i`` on ``seeds[i]``; return ``(theory, [(record, stats), ...])``.
+
+    ``theory`` is ``(leading, params, reason)`` as for the sidecar, computed
+    once.  ``config.trials`` and ``config.master_seed`` are not read.
+    """
+    leading, params, reason = _theory(config)
+    args = (repeat(config), repeat((leading, params)), range(len(seeds)), seeds)
+    if config.parallelism == 1:
+        results = list(map(_run_trial, *args))
+    else:
+        with ProcessPoolExecutor(config.parallelism, initializer=_single_thread_env) as pool:
+            results = list(pool.map(_run_trial, *args))
+    return (leading, params, reason), results
+
+
 def run_experiment(
     config: ExperimentConfig,
 ) -> tuple[list[TrialRecord], dict, dict]:
@@ -388,15 +408,9 @@ def run_experiment(
     residual.  With ``config.output_path`` set the results are also persisted
     via :func:`emit`.
     """
-    leading, params, reason = _theory(config)
+    seeds = [derive_seed(config.master_seed, i) for i in range(config.trials)]
+    (leading, params, reason), results = run_trials(config, seeds)
     sidecar = _sidecar(config, leading, params, reason)
-    args = (repeat(config), repeat((leading, params)), range(config.trials))
-    if config.parallelism == 1:
-        results = list(map(_run_trial, *args))
-    else:
-        with ProcessPoolExecutor(config.parallelism, initializer=_single_thread_env) as pool:
-            results = list(pool.map(_run_trial, *args))
-
     records = [rec for rec, _ in results]
     usable = [s for rec, s in results if rec.valid and s is not None]
     summary: dict = {
@@ -441,7 +455,7 @@ def emit(
 ) -> list[str]:
     """Persist a campaign under ``base_path`` (extension added per format).
 
-    ``csv`` writes the record table ((columns exactly ``CSV_COLUMNS``, floats
+    ``csv`` writes the record table (columns exactly ``CSV_COLUMNS``, floats
     as %.17g, empty fields for missing optionals) plus a ``.summary.json``
     with the aggregate and the theory sidecar; ``json`` writes one document
     with records, summary and theory.  On an I/O failure a ``.partial``

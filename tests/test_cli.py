@@ -8,11 +8,17 @@ import math
 import pytest
 
 from sklab.cli import (
+    _QUICK_KWARGS,
     CheckResult,
     SUITES,
+    check_ball_pipeline,
     check_clt_quadrature,
     check_crossref_constants,
+    check_first_order_clt,
+    check_leading_order_lln,
     check_phase_boundaries,
+    check_sphere_residual_trend,
+    check_w_covariance,
     main,
     parse_spike,
 )
@@ -182,3 +188,40 @@ class TestChecks:
     def test_suites_cover_all_checks(self):
         names = [fn.__name__ for fns in SUITES.values() for fn in fns]
         assert len(names) == len(set(names)) == 10
+        # a check missing from the table would run at full size under --quick
+        assert set(names) == set(_QUICK_KWARGS)
+
+    @pytest.mark.parametrize(
+        "check, kwargs, detail",
+        [
+            (
+                check_leading_order_lln,
+                _QUICK_KWARGS["check_leading_order_lln"],
+                "19/20 trials within 0.05 of 3.0; |median - 3.0| = 0.0081 (tol 0.03)",
+            ),
+            (
+                check_first_order_clt,
+                _QUICK_KWARGS["check_first_order_clt"],
+                "var 0.3516 vs 0.3333 (±50%); mean 0.0078 vs 3se 0.1989",
+            ),
+            (
+                check_w_covariance,
+                _QUICK_KWARGS["check_w_covariance"],
+                "relative errors (var, cov, var') [0.862, 2.526, 4.789] vs ±25% at n=300, M=78",
+            ),
+            (
+                check_sphere_residual_trend,
+                _QUICK_KWARGS["check_sphere_residual_trend"],
+                "n=100: 1.542, n=600: 0.492",
+            ),
+            (
+                check_ball_pipeline,
+                {"sizes": (100, 200), "trials": 12},
+                "|r^2 - 0.5| = 1.1e-16; medians n=100: 0.089, n=200: 0.327",
+            ),
+        ],
+        ids=["02", "03", "05", "06", "07"],
+    )
+    def test_gate_figures_at_reduced_size(self, check, kwargs, detail):
+        # the Monte Carlo checks' printed figures, pinned at small sizes
+        assert check(**kwargs).detail == detail

@@ -5,6 +5,7 @@ import ctypes
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,9 @@ from sklab.experiment_harness import (
     save_config,
     theory_sidecar,
 )
+from sklab.fluctuation_lab import compute_statistics, residual_ball, residual_sphere
+from sklab.reduction_solver import solve_ball, solve_sphere
+from sklab.rmt_core import sample_spectral_model
 from sklab.theory_engine import (
     RadialSpec,
     SpikeSpec,
@@ -196,8 +200,8 @@ class TestRunExperiment:
         _, plain, _ = run_experiment(sphere_config(trials=7))
         real = harness._run_trial
 
-        def slowed(config_d, sidecar, idx):
-            record, stats = real(config_d, sidecar, idx)
+        def slowed(config_d, sidecar, idx, seed):
+            record, stats = real(config_d, sidecar, idx, seed)
             if idx == 6:
                 record.wall_time_ms *= 1e4
             return record, stats
@@ -230,6 +234,41 @@ class TestRunExperiment:
         if sidecar["leading"]["applicable"]:
             assert records[0].U_N is not None
             assert records[0].residual is None
+
+
+class TestRunTrials:
+    SEEDS = [5, 9, 1234]
+
+    @staticmethod
+    def config(model: str, parallelism: int) -> ExperimentConfig:
+        radial = RadialSpec.tap(1.0) if model == "ball" else None
+        return sphere_config(model=model, n=40, radial=radial, parallelism=parallelism)
+
+    @pytest.mark.parametrize("model", ["sphere", "ball"])
+    def test_seeds_pass_through_verbatim(self, model):
+        cfg = self.config(model, 1)
+        (lead, params, _), results = harness.run_trials(cfg, self.SEEDS)
+        assert len(results) == len(self.SEEDS)
+        for i, (seed, (rec, _)) in enumerate(zip(self.SEEDS, results)):
+            assert rec.trial_index == i and rec.derived_seed == seed
+            sample = sample_spectral_model(40, seed=seed, mode="invariance")
+            if model == "sphere":
+                sol = solve_sphere(sample, cfg.beta, cfg.spike)
+                residual = residual_sphere
+            else:
+                lo, hi = cfg.radial.domain
+                sol = solve_ball(sample, cfg.beta, cfg.spike, cfg.radial, (lo + 1e-9, hi - 1e-9))
+                residual = residual_ball
+            stats = compute_statistics(sample, lead.l_hat)
+            assert rec.value == sol.value
+            assert rec.residual == residual(sol.value, stats, lead, params)
+
+    @pytest.mark.parametrize("model", ["sphere", "ball"])
+    def test_pool_gives_the_serial_records(self, model):
+        strip = lambda results: [replace(rec, wall_time_ms=0.0) for rec, _ in results]
+        _, serial = harness.run_trials(self.config(model, 1), self.SEEDS)
+        _, pooled = harness.run_trials(self.config(model, 2), self.SEEDS)
+        assert strip(serial) == strip(pooled)
 
 
 def openblas_threads() -> list[int]:
