@@ -22,12 +22,14 @@ import math
 import sys
 import time
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .experiment_harness import (
     ExperimentConfig,
     load_config,
+    pool_map,
     run_experiment,
     run_trials,
     theory_sidecar,
@@ -172,6 +174,12 @@ def check_first_order_clt(
     )
 
 
+def _trace_error(n: int, l: float, seed: int) -> float:
+    """The trace-error statistic of one invariance-mode draw at the point ``l``."""
+    sample = sample_spectral_model(n, seed=seed, mode="invariance")
+    return compute_statistics(sample, l).Lambda
+
+
 def check_lambda_law(
     n: int = 1000, trials: int = 400, var_rtol: float = 0.25
 ) -> CheckResult:
@@ -179,10 +187,9 @@ def check_lambda_law(
     l = 2.0  # the targets below are the law at this point
     target_mean = (2.0 - math.sqrt(2.0)) / 4.0
     target_var = 0.25
-    vals = np.empty(trials)
-    for i in range(trials):
-        sample = sample_spectral_model(n, seed=40_000 + i, mode="invariance")
-        vals[i] = compute_statistics(sample, l).Lambda
+    # two one-thread workers, as in _gate_trials
+    seeds = range(40_000, 40_000 + trials)
+    vals = np.array(pool_map(2, _trace_error, repeat(n), repeat(l), seeds))
     mean, var = float(vals.mean()), float(vals.var(ddof=1))
     se = math.sqrt(var / trials)
     mean_ok = abs(mean - target_mean) <= 3.0 * se

@@ -12,11 +12,12 @@ theory sidecar, so a campaign re-run is byte-identical apart from wall times.
 
 The limit theory is computed once per run and every trial takes the same
 path, :func:`_run_trial` applied to the configuration, the theory, the trial
-index and the seed: in this process with ``parallelism == 1``, otherwise
-through a pool of ``parallelism`` worker processes whose OpenBLAS runs one
-thread each.  The output is ordered by trial index, independent of
-scheduling.  A trial that raises a numerical error becomes a
-``valid=false`` row; any other exception is a bug and aborts the campaign.
+index and the seed, through :func:`pool_map`: in this process with
+``parallelism == 1``, otherwise in a pool of ``parallelism`` worker
+processes whose OpenBLAS runs one thread each.  The output is ordered by
+trial index, independent of scheduling.  A trial that raises a numerical
+error becomes a ``valid=false`` row; any other exception is a bug and aborts
+the campaign.
 Validity depends on the configuration and the seed only, never on how long
 a trial took.
 """
@@ -65,6 +66,7 @@ __all__ = [
     "load_config",
     "parse_campaign_csv",
     "parse_campaign_json",
+    "pool_map",
     "run_experiment",
     "run_trials",
     "save_config",
@@ -310,6 +312,17 @@ def _single_thread_env() -> None:
             setter(1)
 
 
+def pool_map(parallelism: int, fn, *iterables) -> list:
+    """``list(map(fn, *iterables))``; above one, in ``parallelism`` one-thread-BLAS workers.
+
+    Pool workers need ``fn`` to be a module-level function.
+    """
+    if parallelism == 1:
+        return list(map(fn, *iterables))
+    with ProcessPoolExecutor(parallelism, initializer=_single_thread_env) as pool:
+        return list(pool.map(fn, *iterables))
+
+
 #: errors that make a trial an invalid row; anything else aborts the campaign
 _NUMERICAL_ERRORS = (np.linalg.LinAlgError, PoleError, StationarityError, FloatingPointError)
 
@@ -388,12 +401,10 @@ def run_trials(
     once.  ``config.trials`` and ``config.master_seed`` are not read.
     """
     leading, params, reason = _theory(config)
-    args = (repeat(config), repeat((leading, params)), range(len(seeds)), seeds)
-    if config.parallelism == 1:
-        results = list(map(_run_trial, *args))
-    else:
-        with ProcessPoolExecutor(config.parallelism, initializer=_single_thread_env) as pool:
-            results = list(pool.map(_run_trial, *args))
+    results = pool_map(
+        config.parallelism, _run_trial,
+        repeat(config), repeat((leading, params)), range(len(seeds)), seeds,
+    )
     return (leading, params, reason), results
 
 

@@ -59,7 +59,6 @@ class FluctuationSample:
     """
 
     n: int
-    l: float
     U: float
     Uprime: float
     Lambda: float
@@ -109,7 +108,6 @@ def compute_statistics(sample: GoeSample, l: float) -> FluctuationSample:
 
     return FluctuationSample(
         n=n,
-        l=l,
         U=u_stat,
         Uprime=up_stat,
         Lambda=lambda_stat,

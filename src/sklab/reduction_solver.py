@@ -41,7 +41,7 @@ from scipy.linalg import null_space
 from scipy.optimize import brentq
 
 from .rmt_core import GoeSample, resolvent_moment
-from .theory_engine import RadialSpec, SpikeSpec, golden_max, grid_golden_max
+from .theory_engine import RadialSpec, SpikeSpec, golden_max, grid_golden_max, radial_search
 
 __all__ = [
     "DegenerateOverlapError",
@@ -66,8 +66,6 @@ _POLE_GUARD = 1e-13
 _CURVE_FAR = 1e6
 #: scan points along the curve, uniform in t = log(l - lam_max)
 _CURVE_POINTS = 401
-#: scan points over the radial interval on the ball
-_RADIUS_POINTS = 201
 
 
 class PlateauRegimeError(ValueError):
@@ -303,35 +301,14 @@ def solve_ball(
     an open end of ``g``'s domain nudged inward.  The overlap and inner value
     run over the same states as in :func:`solve_sphere` (the dual curve per
     overlap sign, the plateau and ``alpha = +-1``); at each state the radius
-    is maximized, at O(1) cost per radius, by a scan of the interval
-    (endpoints included) refined by golden-section search around its best
-    point.  Exact ties are broken toward the side candidates, then toward the
-    smaller overlap and radius.
+    is maximized, at O(1) cost per radius, by
+    :func:`~sklab.theory_engine.radial_search`, the search the limit ball
+    problem uses too.  Exact ties are broken toward the side candidates, then
+    toward the smaller overlap and radius.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    rs = np.linspace(*_radial_interval(R), _RADIUS_POINTS)
-    g_grid = np.array([g.value(r) for r in rs], dtype=float)
-    g_grid[~np.isfinite(g_grid)] = -np.inf
-
-    def objective(r, alpha, inner, gv):
-        """The ball objective at radius ``r`` with ``gv = g(r)``; broadcasts."""
-        return f.value(r * alpha) + gv + beta * r * r * inner
-
-    def at_radius(r: float, alpha: float, inner: float) -> float:
-        gv = float(g.value(r))
-        return float(objective(r, alpha, inner, gv)) if math.isfinite(gv) else -math.inf
-
-    def radial(alpha: float, inner: float) -> tuple[float, float]:
-        """Best ``(value, radius)`` over the interval at a fixed inner state."""
-        vals = objective(rs, alpha, inner, g_grid)
-        r, v = grid_golden_max(lambda r: at_radius(r, alpha, inner), rs, vals, top=1)
-        return v, r
-
-    def scan(alphas: np.ndarray, inner: np.ndarray) -> np.ndarray:
-        """Lower bound of ``radial`` on arrays of inner states: the best scanned radius."""
-        return objective(rs, alphas[:, None], inner[:, None], g_grid).max(axis=1)
-
+    radial, scan = radial_search(f, g, beta, _radial_interval(R))
     best, alpha_star, inner, l_star, regime = _best_state(
         sample, lambda a, inner: radial(a, inner)[0], scan
     )
@@ -357,7 +334,6 @@ def oracle_direct(
     R: tuple[float, float] | None = None,
     restarts: int = 32,
     seed: int = 0,
-    max_iter: int = 500,
 ) -> float:
     """Projected-gradient ascent lower-bound witness for the ground state.
 
@@ -367,8 +343,8 @@ def oracle_direct(
     ``R = (lo, hi)`` (default ``(0, 1)``).
 
     Multi-start with deterministic warm starts (the spike, the top eigenvector)
-    plus seeded random directions; backtracking line search; renormalization
-    retraction.  Returns the best objective found.
+    plus seeded random directions; up to 500 backtracking line-search steps
+    per start; renormalization retraction.  Returns the best objective found.
     """
     lam, u = sample.eigenvalues, sample.u
     n = u.size
@@ -415,7 +391,7 @@ def oracle_direct(
     for x0 in starts[: max(restarts, 4)]:
         x = project(x0.astype(float))
         val = objective(x)
-        for _ in range(max_iter):
+        for _ in range(500):
             grad = gradient(x)
             if not ball:
                 grad = grad - (grad @ x) * x  # tangent projection
@@ -438,22 +414,20 @@ def oracle_direct(
     return best
 
 
-def _fixed_overlap_max(
-    sample: GoeSample, alpha: float, restarts: int = 64, seed: int = 1, max_iter: int = 2000
-) -> float:
+def _fixed_overlap_max(sample: GoeSample, alpha: float) -> float:
     """Direct maximum of the quadratic form on the section {|sigma|=1, sigma.u=alpha}.
 
     The constraint is eliminated by parametrizing sigma = alpha u + c B w with
     B an orthonormal basis of the complement of u and |w| = 1; the reduced
-    problem is solved by projected ascent with restarts.  Test oracle for
-    strong duality at small n.
+    problem is solved by projected ascent from 64 seeded random starts.  Test
+    oracle for strong duality at small n.
     """
     lam = sample.eigenvalues
     u = sample.u
     n = sample.n
     c = math.sqrt(max(0.0, 1.0 - alpha * alpha))
     basis = null_space(u[None, :])
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(1))
 
     def val(w: np.ndarray) -> float:
         sigma = alpha * u + c * (basis @ w)
@@ -461,11 +435,11 @@ def _fixed_overlap_max(
 
     m = n - 1
     best = -math.inf
-    for k in range(restarts):
+    for _ in range(64):
         w = rng.standard_normal(m)
         w /= np.linalg.norm(w)
         v = val(w)
-        for _ in range(max_iter):
+        for _ in range(2000):
             sigma = alpha * u + c * (basis @ w)
             grad = 2.0 * c * (basis.T @ (lam * sigma))
             grad -= (grad @ w) * w

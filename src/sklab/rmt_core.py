@@ -260,14 +260,13 @@ def semicircle_transform(l: float, order: int = 0) -> float:
 def linear_stat_clt(
     w: Callable[[float], float],
     w_prime: Callable[[float], float] | None = None,
-    n_nodes: int = 200,
 ) -> tuple[float, float]:
     """Gaussian limit of ``sum_i w(lambda_i) - n * \\int w dmu_sc``.
 
     For a C^1 test function ``w`` the centered linear statistic converges to a
-    normal law whose mean and variance are computed here by Gauss-Legendre
-    quadrature after the substitution ``x = sqrt(2) sin(phi)`` (which removes
-    the edge singularities of both integrands):
+    normal law whose mean and variance are computed here by 200-node
+    Gauss-Legendre quadrature after the substitution ``x = sqrt(2) sin(phi)``
+    (which removes the edge singularities of both integrands):
 
     * mean  ``(w(sqrt2) + w(-sqrt2))/4 - (1/2pi) \\int w(x) / sqrt(2-x^2) dx``
     * variance ``(1/2pi^2) \\iint ((w(x)-w(y))/(x-y))^2
@@ -280,9 +279,7 @@ def linear_stat_clt(
     -------
     (mean, variance) : tuple of float
     """
-    if n_nodes < 2:
-        raise ValueError("n_nodes must be >= 2")
-    nodes, wts = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, wts = np.polynomial.legendre.leggauss(200)
     phi = 0.5 * math.pi * nodes
     om = 0.5 * math.pi * wts
     x = SQRT2 * np.sin(phi)
@@ -301,7 +298,7 @@ def linear_stat_clt(
     with np.errstate(divide="ignore", invalid="ignore"):
         quot = dw / dx
     diag = np.array([float(w_prime(xi)) for xi in x])
-    quot[np.arange(n_nodes), np.arange(n_nodes)] = diag
+    np.fill_diagonal(quot, diag)
     kernel = 2.0 - x[:, None] * x[None, :]
     var = float(om @ (quot**2 * kernel) @ om) / (2.0 * math.pi**2)
     return mean, var

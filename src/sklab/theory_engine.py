@@ -56,6 +56,7 @@ __all__ = [
     "limiting_lambda_law",
     "maximize_ball_theory",
     "maximize_sphere_theory",
+    "radial_search",
     "sphere_saddle",
     "tap_threshold",
 ]
@@ -90,10 +91,10 @@ def _check_derivative(fn, dfn, x: float, name: str) -> None:
 
 @dataclass
 class SpikeSpec:
-    """Spike profile ``f`` with derivatives through third order.
+    """Spike profile ``f`` with derivatives through second order.
 
     Use ``SpikeSpec.monomial(h, k)`` for ``f(x) = h x^k`` or
-    ``SpikeSpec.custom(f, d1, d2, d3)`` with array-compatible callables.
+    ``SpikeSpec.custom(f, d1, d2)`` with array-compatible callables.
     Custom derivatives are finite-difference-checked at construction so a
     mistyped derivative fails fast rather than corrupting downstream constants.
     """
@@ -104,7 +105,6 @@ class SpikeSpec:
     _f: Callable | None = None
     _d1: Callable | None = None
     _d2: Callable | None = None
-    _d3: Callable | None = None
 
     @classmethod
     def monomial(cls, h: float, k: int) -> "SpikeSpec":
@@ -115,17 +115,15 @@ class SpikeSpec:
         return cls(kind="monomial", h=float(h), k=int(k))
 
     @classmethod
-    def custom(cls, f: Callable, d1: Callable, d2: Callable, d3: Callable) -> "SpikeSpec":
+    def custom(cls, f: Callable, d1: Callable, d2: Callable) -> "SpikeSpec":
         for x in (-0.57, 0.11, 0.73):
             _check_derivative(f, d1, x, "d1")
             _check_derivative(d1, d2, x, "d2")
-            _check_derivative(d2, d3, x, "d3")
         return cls(
             kind="custom",
             _f=_vectorize_if_needed(f),
             _d1=_vectorize_if_needed(d1),
             _d2=_vectorize_if_needed(d2),
-            _d3=_vectorize_if_needed(d3),
         )
 
     def value(self, x):
@@ -144,13 +142,6 @@ class SpikeSpec:
                 return np.zeros_like(np.asarray(x, dtype=float)) + 0.0
             return self.h * self.k * (self.k - 1) * np.power(x, self.k - 2)
         return self._d2(x)
-
-    def d3(self, x):
-        if self.kind == "monomial":
-            if self.k <= 2:
-                return np.zeros_like(np.asarray(x, dtype=float)) + 0.0
-            return self.h * self.k * (self.k - 1) * (self.k - 2) * np.power(x, self.k - 3)
-        return self._d3(x)
 
     def label(self) -> str:
         if self.kind == "monomial":
@@ -551,19 +542,14 @@ def tap_threshold(k: int, beta: float) -> float:
     return -neg_best
 
 
-def _boundary_leading(beta: float, f: SpikeSpec, g: RadialSpec, reason: str) -> LeadingOrder:
-    q_p = g.plefka_q if g.kind == "tap" else None
-    r_b = math.sqrt(q_p) if q_p is not None else g.domain[0]
-    value = _plefka_F(beta) if g.kind == "tap" else float(
-        evaluate_B_tilde(0.0, r_b, beta, f, g)
-    )
+def _boundary_leading(beta: float, g: RadialSpec, reason: str) -> LeadingOrder:
     return LeadingOrder(
         alpha_hat=0.0,
         l_hat=SQRT2,
         z_hat=SQRT2,
-        value=value,
+        value=_plefka_F(beta),
         multiplicity="single",
-        r_hat=r_b,
+        r_hat=g.domain[0],
         applicable=False,
         reason=reason,
     )
@@ -577,7 +563,7 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, g: RadialSpec, beta: float) -> Lea
             mirror = _maximize_ball_tap_monomial(SpikeSpec.monomial(-h, k), g, beta)
             mirror.alpha_hat = -mirror.alpha_hat
             return mirror
-        return _boundary_leading(beta, f, g, "zero-overlap boundary maximizer")
+        return _boundary_leading(beta, g, "zero-overlap boundary maximizer")
     if k == 1:
         b2 = beta * beta
 
@@ -588,7 +574,7 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, g: RadialSpec, beta: float) -> Lea
 
         lo_q, hi_q = q_p + 1e-15, 1.0 - 1e-15
         if slope(lo_q) <= 0.0:  # concave objective already decreasing
-            return _boundary_leading(beta, f, g, "boundary maximizer")
+            return _boundary_leading(beta, g, "boundary maximizer")
         q_hat = _largest_root_decreasing(slope, lo_q, hi_q, tol=1e-15)
         r_hat = math.sqrt(q_hat)
         a = h / math.sqrt(h * h + 2.0 * b2 * q_hat)
@@ -604,7 +590,7 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, g: RadialSpec, beta: float) -> Lea
                 if beta == SQRT2 * h and h > 0.5
                 else "zero-overlap boundary maximizer"
             )
-            return _boundary_leading(beta, f, g, reason)
+            return _boundary_leading(beta, g, reason)
         r_hat = math.sqrt(1.0 - 1.0 / (2.0 * h))
         a = math.sqrt(1.0 - beta * beta / (2.0 * h * h))
         l_hat, z_hat = _geometry(a)
@@ -616,7 +602,7 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, g: RadialSpec, beta: float) -> Lea
     h_c = tap_threshold(k, beta)
     if h <= h_c:
         reason = "tied interior/boundary state" if h == h_c else "boundary maximizer"
-        return _boundary_leading(beta, f, g, reason)
+        return _boundary_leading(beta, g, reason)
     b2 = beta * beta
 
     def t_of_q(q: float) -> float:
@@ -631,7 +617,7 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, g: RadialSpec, beta: float) -> Lea
     peak_q, peak_v = golden_max(t_of_q, lo_q + 1e-12, 1.0 - 1e-12, tol=1e-13)
     target = 1.0 / (h * k)
     if peak_v < target:
-        return _boundary_leading(beta, f, g, "no interior critical point")
+        return _boundary_leading(beta, g, "no interior critical point")
     q_hat = _largest_root_decreasing(
         lambda q: t_of_q(q) - target, peak_q, 1.0 - 1e-15, tol=1e-15
     )
@@ -656,37 +642,48 @@ def _ball_hessian(alpha: float, r: float, beta: float, f: SpikeSpec, g: RadialSp
     return np.array([[b_aa, b_ar], [b_ar, b_rr]])
 
 
+def radial_search(f: SpikeSpec, g: RadialSpec, beta: float, R: tuple[float, float]):
+    """Radius maximizer of ``f(r alpha) + g(r) + beta r^2 inner`` over ``R = (lo, hi)``.
+
+    Both ball problems use it: ``inner`` is the constrained quadratic maximum
+    at finite n and ``sqrt(2 (1 - alpha^2))`` in the limit.  Returns
+    ``(radial, scan)``: ``radial(alpha, inner)`` is the best ``(value, r)``,
+    a 201-point scan of the closed interval refined by golden-section search
+    around its best point; ``scan(alphas, inners)`` is its lower bound on
+    arrays of states, the best scanned radius.
+    """
+    rs = np.linspace(float(R[0]), float(R[1]), 201)
+    g_grid = np.array(g.value(rs), dtype=float)
+    g_grid[~np.isfinite(g_grid)] = -np.inf
+
+    def objective(r, alpha, inner, gv):
+        """The ball objective at radius ``r`` with ``gv = g(r)``; broadcasts."""
+        return f.value(r * alpha) + gv + beta * r * r * inner
+
+    def at_radius(r: float, alpha: float, inner: float) -> float:
+        gv = float(g.value(r))
+        return float(objective(r, alpha, inner, gv)) if math.isfinite(gv) else -math.inf
+
+    def radial(alpha: float, inner: float) -> tuple[float, float]:
+        vals = objective(rs, alpha, inner, g_grid)
+        r, v = grid_golden_max(lambda r: at_radius(r, alpha, inner), rs, vals, top=1)
+        return v, r
+
+    def scan(alphas: np.ndarray, inner: np.ndarray) -> np.ndarray:
+        return objective(rs, alphas[:, None], inner[:, None], g_grid).max(axis=1)
+
+    return radial, scan
+
+
 def _maximize_ball_numeric(f: SpikeSpec, g: RadialSpec, beta: float) -> LeadingOrder:
     r_lo, r_hi = g.domain
+    radial, scan = radial_search(f, g, beta, g.domain)
     alphas = np.linspace(-1.0, 1.0, 201)
-    rs = np.linspace(r_lo, r_hi, 201)
-    gv = np.asarray(g.value(rs), dtype=float)
-    gv[~np.isfinite(gv)] = -np.inf
-    grid = (
-        f.value(np.outer(rs, alphas))
-        + gv[:, None]
-        + beta * (rs**2)[:, None] * np.sqrt(2.0 * (1.0 - alphas**2))[None, :]
-    )
-    fun = lambda a, r: float(evaluate_B_tilde(a, r, beta, f, g)) if np.isfinite(
-        g.value(r)
-    ) else -math.inf
-    flat = np.argsort(-grid, axis=None, kind="stable")[:3]
-    span_a = alphas[1] - alphas[0]
-    span_r = rs[1] - rs[0]
-    cands = []
-    for pos in flat:
-        i, j = np.unravel_index(pos, grid.shape)
-        r_c, a_c = float(rs[i]), float(alphas[j])
-        for _ in range(3):
-            r_c, _ = golden_max(
-                lambda t: fun(a_c, t), max(r_lo, r_c - span_r), min(r_hi, r_c + span_r)
-            )
-            a_c, v_c = golden_max(
-                lambda t: fun(t, r_c), max(-1.0, a_c - span_a), min(1.0, a_c + span_a)
-            )
-        cands.append((v_c, a_c, r_c))
-    cands.sort(key=lambda c: (-c[0], c[1], c[2]))
-    val, a, r = cands[0]
+    over_radius = lambda t: radial(t, _geometry(t)[1])[0]
+    z_grid = np.sqrt(2.0 * (1.0 - alphas**2))
+    a, _ = grid_golden_max(over_radius, alphas, scan(alphas, z_grid))
+    val, r = radial(a, _geometry(a)[1])
+    fun = lambda a, r: float(evaluate_B_tilde(a, r, beta, f, g))
     # Newton polish on the gradient when strictly interior
     interior = (
         abs(a) < 1.0 - 1e-9 and r_lo + 1e-9 < r < r_hi - 1e-9 and abs(a) > 1e-9
@@ -736,9 +733,10 @@ def maximize_ball_theory(f: SpikeSpec, g: RadialSpec, beta: float) -> LeadingOrd
     """Global maximizer of the limiting radial functional.
 
     Closed-form dispatch for monomial spikes with the TAP radial profile
-    (scalar root-finding per degree, with the ``tap_threshold`` phase check);
-    201x201 grid plus coordinate refinement and Newton polish otherwise.
-    Boundary or zero-overlap maximizers are returned flagged.
+    (scalar root-finding per degree, with the ``tap_threshold`` phase check).
+    Otherwise a 201-point overlap grid, each point maximized over the radius
+    by :func:`radial_search`, refined by golden-section search and Newton
+    polish.  Boundary or zero-overlap maximizers are returned flagged.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -822,7 +820,6 @@ def sphere_saddle(f: SpikeSpec, beta: float, leading: LeadingOrder) -> GenericMi
     """Saddle partials of the sphere problem at ``leading``; ``y`` is the overlap."""
     a, z = leading.alpha_hat, leading.z_hat
     return GenericMinimaxInput(
-        h_value=leading.value,
         h_g=beta * a * a / z**2,
         h_gg=-2.0 * beta * a * a / z**3,
         h_y_g=np.array([2.0 * beta * a / z**2]),
@@ -861,7 +858,6 @@ def ball_saddle(
     z = leading.z_hat
     r2 = r * r
     return GenericMinimaxInput(
-        h_value=leading.value,
         h_g=beta * r2 * a * a / z**2,
         h_gg=-2.0 * beta * r2 * a * a / z**3,
         h_y_g=np.array([2.0 * beta * r2 * a / z**2, 2.0 * beta * r * a * a / z**2]),
@@ -901,7 +897,6 @@ class GenericMinimaxInput:
     Hessian of the reduced outer functional ``B(y)``.
     """
 
-    h_value: float
     h_g: float
     h_gg: float
     h_y_g: np.ndarray
@@ -925,12 +920,13 @@ class GenericMinimaxInput:
 class MinimaxExpansion:
     """Coefficients of the second-order expansion of the minimax value.
 
-    The expansion reads  value = h_value + E2 * W/sqrt(n) + F/n + o(1/n)  with
-    F = E2 * Lambda - (W, W')^T G (W, W') / 2.  ``G`` follows the closed-form
-    display convention ``K^T J^{-1} K - diag(h_gg, 0)`` with ``J = hessian_B``;
-    the residuals use ``G + w w^T / h_l_l`` instead, the rank-one term coming
-    from eliminating the dual variable (``FluctuationParams.G_resid``).  This
-    is the one route from saddle partials to the constants of both models.
+    The expansion reads  value = B + E2 * W/sqrt(n) + F/n + o(1/n)  with ``B``
+    the leading-order value and F = E2 * Lambda - (W, W')^T G (W, W') / 2.
+    ``G`` follows the closed-form display convention
+    ``K^T J^{-1} K - diag(h_gg, 0)`` with ``J = hessian_B``; the residuals use
+    ``G + w w^T / h_l_l`` instead, the rank-one term coming from eliminating
+    the dual variable (``FluctuationParams.G_resid``).  This is the one route
+    from saddle partials to the constants of both models.
     """
 
     E2: float

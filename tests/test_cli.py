@@ -15,6 +15,7 @@ from sklab.cli import (
     check_clt_quadrature,
     check_crossref_constants,
     check_first_order_clt,
+    check_lambda_law,
     check_leading_order_lln,
     check_phase_boundaries,
     check_sphere_residual_trend,
@@ -205,6 +206,11 @@ class TestChecks:
                 "var 0.3516 vs 0.3333 (±50%); mean 0.0078 vs 3se 0.1989",
             ),
             (
+                check_lambda_law,
+                _QUICK_KWARGS["check_lambda_law"],
+                "mean 0.1952 vs 0.1464 (3se 0.1647); var 0.2411 vs 0.25 (±50%)",
+            ),
+            (
                 check_w_covariance,
                 _QUICK_KWARGS["check_w_covariance"],
                 "relative errors (var, cov, var') [0.862, 2.526, 4.789] vs ±25% at n=300, M=78",
@@ -219,9 +225,19 @@ class TestChecks:
                 {"sizes": (100, 200), "trials": 12},
                 "|r^2 - 0.5| = 1.1e-16; medians n=100: 0.089, n=200: 0.327",
             ),
+            (
+                check_crossref_constants,
+                _QUICK_KWARGS["check_crossref_constants"],
+                "max deviation 2.32e-14 over 10 draws per degree (tol 1e-10)",
+            ),
+            (
+                check_phase_boundaries,
+                _QUICK_KWARGS["check_phase_boundaries"],
+                "max value tie gap 0.0e+00 (tol 1e-08); alignment threshold brackets at ±1% hold",
+            ),
         ],
-        ids=["02", "03", "05", "06", "07"],
+        ids=["02", "03", "04", "05", "06", "07", "08", "09"],
     )
     def test_gate_figures_at_reduced_size(self, check, kwargs, detail):
-        # the Monte Carlo checks' printed figures, pinned at small sizes
+        # the checks' printed figures, pinned at reduced sizes
         assert check(**kwargs).detail == detail

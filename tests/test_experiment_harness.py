@@ -99,7 +99,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="monomial"):
             sphere_config(
                 spike=SpikeSpec.custom(
-                    lambda x: x, lambda x: 1.0 + 0 * x, lambda x: 0 * x, lambda x: 0 * x
+                    lambda x: x, lambda x: 1.0 + 0 * x, lambda x: 0 * x
                 )
             )
 

@@ -354,7 +354,7 @@ class TestResiduals:
 
 class TestAggregate:
     def test_requires_two_valid_samples(self):
-        good = FluctuationSample(10, 2.0, 0.1, -0.2, 0.3, 0.1, -0.2)
+        good = FluctuationSample(10, 0.1, -0.2, 0.3, 0.1, -0.2)
         with pytest.raises(ValueError, match="at least 2"):
             aggregate([good])
         out = aggregate([good, good])
@@ -362,7 +362,7 @@ class TestAggregate:
 
     def test_moment_keys_without_theory(self):
         samples = [
-            FluctuationSample(10, 2.0, 0.1 * i, -0.2, 0.3, 0.1, -0.2)
+            FluctuationSample(10, 0.1 * i, -0.2, 0.3, 0.1, -0.2)
             for i in range(5)
         ]
         out = aggregate(samples)
@@ -371,7 +371,7 @@ class TestAggregate:
         assert "mean_X" not in out  # no raw statistics present
 
     def test_mixed_raw_availability_drops_raw_block(self):
-        with_raw = FluctuationSample(10, 2.0, 0.1, -0.2, 0.3, 0.1, -0.2, 0.5, -0.1, 0.9)
-        without = FluctuationSample(10, 2.0, 0.2, -0.1, 0.2, 0.2, -0.1)
+        with_raw = FluctuationSample(10, 0.1, -0.2, 0.3, 0.1, -0.2, 0.5, -0.1, 0.9)
+        without = FluctuationSample(10, 0.2, -0.1, 0.2, 0.2, -0.1)
         out = aggregate([with_raw, without])
         assert "mean_X" not in out
