@@ -373,17 +373,25 @@ _QUICK_KWARGS: dict[str, dict] = {
 # Subcommand handlers
 
 
+def _reject(command: str, message) -> int:
+    """Report out-of-range input on one stderr line; exit code 2."""
+    print(f"sklab {command}: {message}", file=sys.stderr)
+    return 2
+
+
 def _handle_theory(args) -> int:
-    radial = RadialSpec.tap(args.beta) if args.ball else None
-    config = ExperimentConfig(
-        model="ball" if args.ball else "sphere",
-        n=2,
-        trials=1,
-        master_seed=0,
-        beta=args.beta,
-        spike=args.spike,
-        radial=radial,
-    )
+    try:
+        config = ExperimentConfig(
+            model="ball" if args.ball else "sphere",
+            n=2,
+            trials=1,
+            master_seed=0,
+            beta=args.beta,
+            spike=args.spike,
+            radial=RadialSpec.tap(args.beta) if args.ball else None,
+        )
+    except ValueError as err:
+        return _reject("theory", err)
     sidecar = theory_sidecar(config)
     if args.json:
         print(json.dumps(sidecar, indent=2))
@@ -411,37 +419,38 @@ def _handle_theory(args) -> int:
 
 
 def _handle_simulate(args) -> int:
-    if args.config:
-        config = load_config(args.config)
-    else:
-        missing = [
-            flag
-            for flag, val in (
-                ("--model", args.model),
-                ("--n", args.n),
-                ("--trials", args.trials),
-                ("--seed", args.seed),
-                ("--beta", args.beta),
-                ("--spike", args.spike),
+    try:
+        if args.config:
+            config = load_config(args.config)
+        else:
+            missing = [
+                flag
+                for flag, val in (
+                    ("--model", args.model),
+                    ("--n", args.n),
+                    ("--trials", args.trials),
+                    ("--seed", args.seed),
+                    ("--beta", args.beta),
+                    ("--spike", args.spike),
+                )
+                if val is None
+            ]
+            if missing:
+                return _reject("simulate", f"missing {', '.join(missing)} (or use --config)")
+            config = ExperimentConfig(
+                model=args.model,
+                n=args.n,
+                trials=args.trials,
+                master_seed=args.seed,
+                beta=args.beta,
+                spike=args.spike,
+                radial=RadialSpec.tap(args.beta) if args.model == "ball" else None,
+                output_path=args.output,
+                output_format=args.format,
+                parallelism=args.parallelism,
             )
-            if val is None
-        ]
-        if missing:
-            print(f"simulate: missing {', '.join(missing)} (or use --config)",
-                  file=sys.stderr)
-            return 2
-        config = ExperimentConfig(
-            model=args.model,
-            n=args.n,
-            trials=args.trials,
-            master_seed=args.seed,
-            beta=args.beta,
-            spike=args.spike,
-            radial=RadialSpec.tap(args.beta) if args.model == "ball" else None,
-            output_path=args.output,
-            output_format=args.format,
-            parallelism=args.parallelism,
-        )
+    except (ValueError, OSError) as err:
+        return _reject("simulate", err)
     records, summary, _ = run_experiment(config)
     print(f"trials: {len(records)}  valid: {summary['valid_count']}  "
           f"invalid: {summary['invalid_count']}")
@@ -465,9 +474,13 @@ def _fmt_cell(x: float | None) -> str:
 def _handle_phase(args) -> int:
     beta_flags = (args.beta_min, args.beta_max, args.beta_steps)
     if any(v is not None for v in beta_flags) and any(v is None for v in beta_flags):
-        print("phase: --beta-min/--beta-max/--beta-steps must be given together",
-              file=sys.stderr)
-        return 2
+        return _reject("phase", "--beta-min/--beta-max/--beta-steps must be given together")
+    if args.k < 1:
+        return _reject("phase", f"--k must be a positive integer, got {args.k}")
+    if min(args.h_min, args.h_max) <= 0:
+        return _reject("phase", "--h-min and --h-max must be positive")
+    if args.beta_min is not None and min(args.beta_min, args.beta_max) <= 0:
+        return _reject("phase", "--beta-min and --beta-max must be positive")
     h_grid = np.linspace(args.h_min, args.h_max, args.h_steps)
     beta_grid = (
         np.linspace(args.beta_min, args.beta_max, args.beta_steps)
@@ -477,21 +490,20 @@ def _handle_phase(args) -> int:
     out = open(args.output, "w", newline="", encoding="utf-8") if args.output else sys.stdout
     writer = csv.writer(out)
     writer.writerow(["k", "h", "beta", "beta_c", "beta_tilde_c", "h_c", "maximizer_type"])
-    fmt = _fmt_cell
     try:
         for h in h_grid:
             beta_c, beta_tilde = critical_betas(args.k, float(h))
-            bc = fmt(None if math.isinf(beta_c) else beta_c)
-            bt = fmt(beta_tilde)
+            bc = _fmt_cell(None if math.isinf(beta_c) else beta_c)
+            bt = _fmt_cell(beta_tilde)
             if beta_grid is None:
-                writer.writerow([args.k, fmt(h), "", bc, bt, "", ""])
+                writer.writerow([args.k, _fmt_cell(h), "", bc, bt, "", ""])
                 continue
             for beta in beta_grid:
                 lead = maximize_sphere_theory(SpikeSpec.monomial(float(h), args.k), float(beta))
                 kind = lead.multiplicity if lead.applicable else "none"
                 writer.writerow(
-                    [args.k, fmt(h), fmt(beta), bc, bt,
-                     fmt(tap_threshold(args.k, float(beta))), kind]
+                    [args.k, _fmt_cell(h), _fmt_cell(beta), bc, bt,
+                     _fmt_cell(tap_threshold(args.k, float(beta))), kind]
                 )
     finally:
         if out is not sys.stdout:

@@ -26,7 +26,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .rmt_core import (
     GoeSample,
@@ -193,6 +192,13 @@ def alt_residual_sphere(
     )
 
 
+def _ks_normal(z: np.ndarray) -> float:
+    """Kolmogorov-Smirnov distance of the empirical law of ``z`` to N(0, 1)."""
+    phi = np.array([0.5 * math.erfc(-x / math.sqrt(2.0)) for x in np.sort(z)])
+    i, n = np.arange(1, phi.size + 1), phi.size
+    return float(max(np.max(i / n - phi), np.max(phi - (i - 1) / n)))
+
+
 def aggregate(
     samples: Sequence[FluctuationSample],
     params: FluctuationParams | None = None,
@@ -201,7 +207,8 @@ def aggregate(
 
     At least two samples are required.  With ``params`` given, each statistic
     is standardized by its theoretical law and compared to a standard
-    Gaussian via the Kolmogorov-Smirnov distance.
+    Gaussian via the Kolmogorov-Smirnov distance: the largest ``i/n - Phi_i``
+    or ``Phi_i - (i-1)/n``, ``Phi_i`` the Gaussian CDF at the i-th smallest.
     """
     if len(samples) < 2:
         raise ValueError(f"need at least 2 samples, got {len(samples)}")
@@ -241,14 +248,13 @@ def aggregate(
             }
         )
     if params is not None:
-        ks = lambda z: float(scipy_stats.kstest(z, "norm").statistic)
-        out["ks_U"] = ks(u / math.sqrt(params.var_U))
-        out["ks_Uprime"] = ks(up / math.sqrt(params.var_Uprime))
-        out["ks_Lambda"] = ks(
+        out["ks_U"] = _ks_normal(u / math.sqrt(params.var_U))
+        out["ks_Uprime"] = _ks_normal(up / math.sqrt(params.var_Uprime))
+        out["ks_Lambda"] = _ks_normal(
             (lam - params.lambda_mean) / math.sqrt(params.lambda_var)
         )
-        out["ks_W"] = ks(w / math.sqrt(params.Sigma[0, 0]))
-        out["ks_Wprime"] = ks(wp / math.sqrt(params.Sigma[1, 1]))
+        out["ks_W"] = _ks_normal(w / math.sqrt(params.Sigma[0, 0]))
+        out["ks_Wprime"] = _ks_normal(wp / math.sqrt(params.Sigma[1, 1]))
         if have_raw:
-            out["ks_Y"] = ks(arr("Y") / math.sqrt(2.0))
+            out["ks_Y"] = _ks_normal(y / math.sqrt(2.0))
     return out

@@ -22,9 +22,9 @@ As ``l`` runs from ``lam_max`` to infinity, ``|alpha|(l)`` rises
 monotonically from ``|u_n|`` to 1.  The ground-state solvers therefore search
 along ``t = log(l - lam_max)``, once per sign of the overlap, each point one
 O(n) pass of the resolvent moments, with the plateau and the degenerate
-section as closed-form side candidates.  The per-overlap API
-(:func:`inner_max`, :func:`dual_minimize`) finds the point of the same curve
-where ``|alpha|(l)`` equals the requested overlap.
+section as closed-form side candidates.  The per-overlap entry point
+:func:`inner_max` finds the point of the same curve where ``|alpha|(l)``
+equals the requested overlap.
 
 Everything here is exact at finite n — no limit-theory input.  An independent
 projected-gradient oracle is provided as an equality witness for tests.
@@ -37,20 +37,16 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import brentq
 
 from .rmt_core import GoeSample, resolvent_moment
 from .theory_engine import RadialSpec, SpikeSpec, golden_max, grid_golden_max, radial_search
+from .theory_engine import _largest_root_decreasing
 
 __all__ = [
-    "DegenerateOverlapError",
     "InnerResult",
-    "PlateauRegimeError",
     "SphereSolve",
     "BallSolve",
     "StationarityError",
-    "dual_minimize",
     "inner_max",
     "oracle_direct",
     "recover_maximizer",
@@ -66,14 +62,6 @@ _POLE_GUARD = 1e-13
 _CURVE_FAR = 1e6
 #: scan points along the curve, uniform in t = log(l - lam_max)
 _CURVE_POINTS = 401
-
-
-class PlateauRegimeError(ValueError):
-    """dual_minimize called with |alpha| <= |u_n|: use the plateau value."""
-
-
-class DegenerateOverlapError(ValueError):
-    """dual_minimize called with |alpha| >= 1: the section is degenerate."""
 
 
 class StationarityError(RuntimeError):
@@ -131,38 +119,6 @@ def _curve(lam: np.ndarray, w2: np.ndarray, t):
     return l, s / np.sqrt(p), np.minimum(l - s / p, lam[-1])
 
 
-def dual_minimize(sample: GoeSample, alpha: float) -> tuple[float, float]:
-    """Minimize the dual objective ``l - alpha^2/s(l)`` over ``l > lam_max``.
-
-    Returns ``(l_star, value)``.  The minimizer is the point of the dual curve
-    with ``|alpha|(l) = |alpha|``, found by Brent's method in
-    ``t = log(l - lam_max)``; an overlap the curve reaches only inside the
-    pole guard (or past its far end) is pinned to that end.  Requires the
-    dual regime ``|u_n| < |alpha| < 1``; otherwise raises
-    ``PlateauRegimeError`` or ``DegenerateOverlapError`` so the caller can
-    dispatch to the closed form.
-    """
-    a = abs(float(alpha))
-    if a >= 1.0:
-        raise DegenerateOverlapError(f"|alpha|={a} is not inside the open interval (|u_n|, 1)")
-    u_n = abs(float(sample.u[-1]))
-    if a <= u_n:
-        raise PlateauRegimeError(
-            f"|alpha|={a} <= |u_n|={u_n}: the maximum plateaus at lam_max"
-        )
-    lam, w2 = sample.eigenvalues, sample.u**2
-    t_lo, t_hi = _curve_span(lam)
-    excess = lambda t: float(_curve(lam, w2, t)[1]) - a
-    if excess(t_lo) >= 0.0:
-        t = t_lo
-    elif excess(t_hi) <= 0.0:
-        t = t_hi
-    else:
-        t = brentq(excess, t_lo, t_hi, xtol=1e-14)
-    l_star = float(lam[-1]) + math.exp(t)
-    return l_star, l_star - a * a / float(resolvent_moment(lam, w2, l_star, 1))
-
-
 def _degenerate_value(sample: GoeSample) -> float:
     return float(np.sum(sample.u**2 * sample.eigenvalues))
 
@@ -176,8 +132,11 @@ def _plateau_bound(sample: GoeSample) -> float:
 def inner_max(sample: GoeSample, alpha: float) -> InnerResult:
     """Constrained maximum of the quadratic form at overlap ``alpha``.
 
-    Dispatches between the dual regime, the plateau (value ``lam_max`` with an
-    explicit error bound), and the degenerate section ``|alpha| = 1``.
+    The plateau (value ``lam_max`` with an explicit error bound) and the
+    degenerate section ``|alpha| = 1`` are closed forms.  In the dual regime
+    the minimizer of ``l - alpha^2/s(l)`` is the curve point with ``|alpha|(l)
+    = |alpha|``, bisected in ``t = log(l - lam_max)`` and pinned to the pole
+    guard or the far end when the curve reaches it only beyond them.
     """
     a = abs(float(alpha))
     if a > 1.0:
@@ -190,7 +149,17 @@ def inner_max(sample: GoeSample, alpha: float) -> InnerResult:
             regime="plateau",
             plateau_error_bound=_plateau_bound(sample),
         )
-    l_star, value = dual_minimize(sample, alpha)
+    lam, w2 = sample.eigenvalues, sample.u**2
+    t_lo, t_hi = _curve_span(lam)
+    deficit = lambda t: a - float(_curve(lam, w2, t)[1])
+    if deficit(t_lo) <= 0.0:
+        t = t_lo
+    elif deficit(t_hi) >= 0.0:
+        t = t_hi
+    else:
+        t = _largest_root_decreasing(deficit, t_lo, t_hi, tol=1e-14)
+    l_star = float(lam[-1]) + math.exp(t)
+    value = l_star - a * a / float(resolvent_moment(lam, w2, l_star, 1))
     return InnerResult(value=value, regime="dual", l_star=l_star)
 
 
@@ -411,51 +380,4 @@ def oracle_direct(
                 break
         if val > best:
             best = val
-    return best
-
-
-def _fixed_overlap_max(sample: GoeSample, alpha: float) -> float:
-    """Direct maximum of the quadratic form on the section {|sigma|=1, sigma.u=alpha}.
-
-    The constraint is eliminated by parametrizing sigma = alpha u + c B w with
-    B an orthonormal basis of the complement of u and |w| = 1; the reduced
-    problem is solved by projected ascent from 64 seeded random starts.  Test
-    oracle for strong duality at small n.
-    """
-    lam = sample.eigenvalues
-    u = sample.u
-    n = sample.n
-    c = math.sqrt(max(0.0, 1.0 - alpha * alpha))
-    basis = null_space(u[None, :])
-    rng = np.random.Generator(np.random.Philox(1))
-
-    def val(w: np.ndarray) -> float:
-        sigma = alpha * u + c * (basis @ w)
-        return float(np.sum(lam * sigma * sigma))
-
-    m = n - 1
-    best = -math.inf
-    for _ in range(64):
-        w = rng.standard_normal(m)
-        w /= np.linalg.norm(w)
-        v = val(w)
-        for _ in range(2000):
-            sigma = alpha * u + c * (basis @ w)
-            grad = 2.0 * c * (basis.T @ (lam * sigma))
-            grad -= (grad @ w) * w
-            if np.linalg.norm(grad) < 1e-13 * (1 + abs(v)):
-                break
-            step = 0.5
-            improved = False
-            while step > 1e-14:
-                w_new = w + step * grad
-                w_new /= np.linalg.norm(w_new)
-                v_new = val(w_new)
-                if v_new > v + 1e-13 * abs(v):
-                    w, v, improved = w_new, v_new, True
-                    break
-                step *= 0.5
-            if not improved:
-                break
-        best = max(best, v)
     return best

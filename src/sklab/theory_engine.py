@@ -532,7 +532,9 @@ def tap_threshold(k: int, beta: float) -> float:
         core = r * r * (1.0 - 2.0 * b2 * one * one)
         if core <= 0.0 or r <= 0.0:
             return math.inf
-        return (f_val - float(g.value(r)) - 2.0 * b2 * r * r * one) / core ** (k / 2.0)
+        # f_val bounds the subtracted terms on the Plefka interval: num <= 0 is rounding
+        num = f_val - float(g.value(r)) - 2.0 * b2 * r * r * one
+        return num / core ** (k / 2.0) if num > 0.0 else math.inf
 
     lo = math.sqrt(g.plefka_q) + 1e-6
     hi = 1.0 - 1e-6

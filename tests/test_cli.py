@@ -4,9 +4,13 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sklab
 from sklab.cli import (
     _QUICK_KWARGS,
     CheckResult,
@@ -25,6 +29,18 @@ from sklab.cli import (
 )
 from sklab.experiment_harness import ExperimentConfig, save_config
 from sklab.theory_engine import SpikeSpec
+
+
+def test_import_loads_no_scipy():
+    # NumPy is the only runtime dependency: a fresh interpreter importing the
+    # CLI must not pull in SciPy
+    src = os.path.dirname(os.path.dirname(sklab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sklab.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestParseSpike:
@@ -68,6 +84,11 @@ class TestTheoryCommand:
         out = capsys.readouterr().out
         assert "unavailable" in out
 
+    def test_out_of_range_beta_rejected(self, capsys):
+        rc = main(["theory", "--spike", "monomial:1:1", "--beta", "0", "--ball"])
+        assert rc == 2
+        assert capsys.readouterr().err == "sklab theory: beta must be positive, got 0.0\n"
+
 
 class TestSimulateCommand:
     def test_inline_flags(self, capsys, tmp_path):
@@ -110,6 +131,15 @@ class TestSimulateCommand:
         assert rc == 2
         assert "--trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--n", "1"], ["--config", "missing.json"]])
+    def test_out_of_range_input_rejected(self, capsys, monkeypatch, tmp_path, flags):
+        monkeypatch.chdir(tmp_path)
+        rc = main(["simulate", "--model", "sphere", "--n", "40", "--trials", "2",
+                   "--seed", "1", "--beta", "1", "--spike", "monomial:1:1", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sklab simulate: ") and err.count("\n") == 1
+
 
 class TestPhaseCommand:
     def test_h_grid_only(self, capsys):
@@ -148,6 +178,20 @@ class TestPhaseCommand:
                    "--h-steps", "2", "--beta-min", "0.5"])
         assert rc == 2
         assert "together" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--k", "0"],
+        ["--h-min", "0"],
+        ["--beta-min", "0", "--beta-max", "1", "--beta-steps", "2"],
+    ])
+    def test_out_of_range_input_rejected(self, capsys, tmp_path, flags):
+        out = tmp_path / "phase.csv"
+        rc = main(["phase", "--k", "3", "--h-min", "0.5", "--h-max", "1.0",
+                   "--h-steps", "2", "--output", str(out), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sklab phase: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestVerifyCommand:

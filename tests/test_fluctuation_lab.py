@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy import stats as scipy_stats
 
 from sklab.fluctuation_lab import (
     FluctuationSample,
@@ -375,3 +376,21 @@ class TestAggregate:
         without = FluctuationSample(10, 0.2, -0.1, 0.2, 0.2, -0.1)
         out = aggregate([with_raw, without])
         assert "mean_X" not in out
+
+    @pytest.mark.parametrize("m", [2, 3, 40, 400])
+    def test_ks_distances_match_scipy(self, m):
+        rng = np.random.default_rng(m)
+        raw = rng.standard_normal((m, 8)) * 1.3 + 0.2
+        samples = [FluctuationSample(10, *row) for row in raw]
+        out = aggregate(samples, PAR)
+        scaled = {
+            "ks_U": raw[:, 0] / math.sqrt(PAR.var_U),
+            "ks_Uprime": raw[:, 1] / math.sqrt(PAR.var_Uprime),
+            "ks_Lambda": (raw[:, 2] - PAR.lambda_mean) / math.sqrt(PAR.lambda_var),
+            "ks_W": raw[:, 3] / math.sqrt(PAR.Sigma[0, 0]),
+            "ks_Wprime": raw[:, 4] / math.sqrt(PAR.Sigma[1, 1]),
+            "ks_Y": raw[:, 7] / math.sqrt(2.0),
+        }
+        for key, z in scaled.items():
+            expected = scipy_stats.kstest(z, "norm").statistic
+            assert out[key] == pytest.approx(expected, abs=1e-15), key

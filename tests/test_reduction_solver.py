@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import null_space
 from scipy.optimize import brentq, minimize_scalar
 
 from sklab.reduction_solver import (
-    DegenerateOverlapError,
-    PlateauRegimeError,
     StationarityError,
-    _fixed_overlap_max,
-    dual_minimize,
     inner_max,
     oracle_direct,
     recover_maximizer,
@@ -46,9 +43,9 @@ def random_sample(seed: int, n: int) -> GoeSample:
 
 def test_two_atom_dual_frozen():
     s = two_atom_sample()
-    l_star, value = dual_minimize(s, 0.8)
-    assert l_star == pytest.approx(4 / 3, abs=1e-11)
-    assert value == pytest.approx(0.96, abs=1e-12)
+    res = inner_max(s, 0.8)
+    assert res.l_star == pytest.approx(4 / 3, abs=1e-11)
+    assert res.value == pytest.approx(0.96, abs=1e-12)
 
 
 def test_two_atom_inner_max_regimes():
@@ -69,22 +66,16 @@ def test_two_atom_inner_max_regimes():
 
 def test_two_atom_maximizer_recovery():
     s = two_atom_sample()
-    l_star, _ = dual_minimize(s, 0.8)
-    sigma = recover_maximizer(s, 0.8, l_star)
+    sigma = recover_maximizer(s, 0.8, inner_max(s, 0.8).l_star)
     expected = np.array([0.2, 1.4]) / math.sqrt(2)
     assert sigma == pytest.approx(expected, abs=1e-9)
     assert sigma @ sigma == pytest.approx(1.0, abs=1e-12)
     assert sigma @ s.u == pytest.approx(0.8, abs=1e-12)
 
 
-def test_dual_minimize_regime_errors():
-    s = two_atom_sample()
-    with pytest.raises(PlateauRegimeError):
-        dual_minimize(s, 0.5)
-    with pytest.raises(DegenerateOverlapError):
-        dual_minimize(s, 1.0)
+def test_inner_max_rejects_overlap_above_one():
     with pytest.raises(ValueError):
-        inner_max(s, 1.2)
+        inner_max(two_atom_sample(), 1.2)
 
 
 def test_recover_rejects_non_stationary_point():
@@ -344,6 +335,53 @@ def trust_region_max(s: GoeSample, beta: float, c: float) -> tuple[float, float]
                0.5 * c * abs(s.u[-1]), 0.5 * c, xtol=1e-15, rtol=1e-15)
     value = beta * s.lambda_max + t + float(np.sum(w / (t + d)))
     return value, 0.5 * c * float(np.sum(s.u**2 / (t + d)))
+
+
+def _fixed_overlap_max(sample: GoeSample, alpha: float) -> float:
+    """Direct maximum of the quadratic form on the section {|sigma|=1, sigma.u=alpha}.
+
+    The constraint is eliminated by parametrizing sigma = alpha u + c B w with
+    B an orthonormal basis of the complement of u and |w| = 1; the reduced
+    problem is solved by projected ascent from 64 seeded random starts.  Test
+    oracle for strong duality at small n.
+    """
+    lam = sample.eigenvalues
+    u = sample.u
+    n = sample.n
+    c = math.sqrt(max(0.0, 1.0 - alpha * alpha))
+    basis = null_space(u[None, :])
+    rng = np.random.Generator(np.random.Philox(1))
+
+    def val(w: np.ndarray) -> float:
+        sigma = alpha * u + c * (basis @ w)
+        return float(np.sum(lam * sigma * sigma))
+
+    m = n - 1
+    best = -math.inf
+    for _ in range(64):
+        w = rng.standard_normal(m)
+        w /= np.linalg.norm(w)
+        v = val(w)
+        for _ in range(2000):
+            sigma = alpha * u + c * (basis @ w)
+            grad = 2.0 * c * (basis.T @ (lam * sigma))
+            grad -= (grad @ w) * w
+            if np.linalg.norm(grad) < 1e-13 * (1 + abs(v)):
+                break
+            step = 0.5
+            improved = False
+            while step > 1e-14:
+                w_new = w + step * grad
+                w_new /= np.linalg.norm(w_new)
+                v_new = val(w_new)
+                if v_new > v + 1e-13 * abs(v):
+                    w, v, improved = w_new, v_new, True
+                    break
+                step *= 0.5
+            if not improved:
+                break
+        best = max(best, v)
+    return best
 
 
 def tap_ball_max(s: GoeSample, beta: float, h: float, lo: float, hi: float) -> float:

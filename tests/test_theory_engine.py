@@ -12,6 +12,7 @@ from sklab.theory_engine import (
     InapplicableRegimeError,
     RadialSpec,
     SpikeSpec,
+    _plefka_F,
     corollary_constants,
     critical_betas,
     evaluate_B,
@@ -436,6 +437,23 @@ def test_tap_threshold_value_continuity():
     boundary = SQRT2 * b - 0.75 - 0.5 * math.log(SQRT2 * b)
     assert above.value >= boundary
     assert above.value == pytest.approx(boundary, abs=1e-3)
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_tap_threshold_continuous_at_plefka_corner(k):
+    # near beta = 1/sqrt2 the variational numerator vanishes to fourth order
+    # at the grid's left end, where its rounding must not win the infimum
+    lo, hi = tap_threshold(k, 0.70), tap_threshold(k, 0.71)
+    for b in (0.7071, 1 / SQRT2):
+        assert lo < tap_threshold(k, b) < hi
+
+
+def test_ball_theory_at_plefka_corner_never_below_boundary():
+    b = 1 / SQRT2
+    g = RadialSpec.tap(b)
+    for h in np.linspace(1.0, 1.3, 10):
+        lead = maximize_ball_theory(SpikeSpec.monomial(float(h), 3), g, b)
+        assert lead.value >= _plefka_F(b) - 1e-14
 
 
 def test_ball_numeric_path_matches_closed_form():
