@@ -80,19 +80,24 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} — {self.name}: {self.detail}"
 
 
+def _oracle_gap(n: int, beta: float, coeff: float, seed: int) -> float:
+    """Per-site gap between the reduced solver and the direct ascent on one draw."""
+    spike = SpikeSpec.monomial(coeff, 1)
+    sample = sample_spectral_model(n, seed=seed, mode="invariance")
+    sol = solve_sphere(sample, beta, spike)
+    return abs(sol.value - oracle_direct(sample, beta, spike)) / n
+
+
 def check_oracle_equivalence(
     instances: int = 100, n: int = 6, beta: float = 1.0, coeff: float = 0.7,
     tol: float = 1e-6,
 ) -> CheckResult:
     """Reduced solver vs direct ascent witness on small random instances."""
-    spike = SpikeSpec.monomial(coeff, 1)
     start = time.perf_counter()
-    worst = 0.0
-    for i in range(instances):
-        sample = sample_spectral_model(n, seed=10_000 + i, mode="invariance")
-        sol = solve_sphere(sample, beta, spike)
-        direct = oracle_direct(sample, beta, spike)
-        worst = max(worst, abs(sol.value - direct) / n)
+    seeds = range(10_000, 10_000 + instances)
+    # two one-thread workers, as in _gate_trials
+    gaps = pool_map(2, _oracle_gap, repeat(n), repeat(beta), repeat(coeff), seeds)
+    worst = max(gaps)
     elapsed = time.perf_counter() - start
     return CheckResult(
         "oracle equivalence",
@@ -244,7 +249,7 @@ def check_ball_pipeline(
     sizes: tuple[int, ...] = (250, 500, 1000), trials: int = 100
 ) -> CheckResult:
     """Exact radial maximizer plus decreasing ball residual medians."""
-    lead = maximize_ball_theory(SpikeSpec.monomial(1.0, 1), RadialSpec.tap(1.0), 1.0)
+    lead = maximize_ball_theory(SpikeSpec.monomial(1.0, 1), 1.0)
     r2_err = abs(lead.r_hat**2 - 0.5)
     medians = _residual_medians("ball", sizes, trials, 70_000)
     decreasing = all(a > b for a, b in zip(medians, medians[1:]))
@@ -297,10 +302,9 @@ def check_crossref_constants(pairs: int = 50, tol: float = 1e-10) -> CheckResult
             worst = max(worst, _max_param_deviation(general, special))
     # the generic expansion's ball mixed matrix vs its display form
     spike = SpikeSpec.monomial(1.0, 1)
-    radial = RadialSpec.tap(1.0)
-    lead_b = maximize_ball_theory(spike, radial, 1.0)
+    lead_b = maximize_ball_theory(spike, 1.0)
     ab, rb, zb = lead_b.alpha_hat, lead_b.r_hat, lead_b.z_hat
-    exp_b = generic_minimax_params(ball_saddle(spike, radial, 1.0, lead_b))
+    exp_b = generic_minimax_params(ball_saddle(spike, 1.0, lead_b))
     display_K = (2.0 * rb * ab / zb**2) * np.array(
         [[2.0 * rb / zb**2, rb * ab**4 / zb**3], [ab, 0.0]]
     )
@@ -324,16 +328,17 @@ def check_phase_boundaries(tol: float = 1e-8, bracket: float = 0.01) -> CheckRes
         worst_tie = max(worst_tie, abs(zero_val - interior_val))
     ties_ok = worst_tie <= tol
 
+    # each bracket is witnessed twice: by the closed form, which decides the
+    # phase with tap_threshold itself, and by the numeric path, which does not
     brackets_ok = True
     for k in (3, 4, 5):
         h_c = tap_threshold(k, 1.0)
-        above = maximize_ball_theory(
-            SpikeSpec.monomial(h_c * (1 + bracket), k), RadialSpec.tap(1.0), 1.0
-        )
-        below = maximize_ball_theory(
-            SpikeSpec.monomial(h_c * (1 - bracket), k), RadialSpec.tap(1.0), 1.0
-        )
-        brackets_ok = brackets_ok and above.applicable and not below.applicable
+        for h, applicable in ((h_c * (1 + bracket), True), (h_c * (1 - bracket), False)):
+            mono = SpikeSpec.monomial(h, k)
+            for spike in (mono, SpikeSpec.custom(mono.value, mono.d1, mono.d2)):
+                brackets_ok = brackets_ok and (
+                    maximize_ball_theory(spike, 1.0).applicable == applicable
+                )
     return CheckResult(
         "phase boundaries",
         ties_ok and brackets_ok,
@@ -477,6 +482,11 @@ def _handle_phase(args) -> int:
         return _reject("phase", "--beta-min/--beta-max/--beta-steps must be given together")
     if args.k < 1:
         return _reject("phase", f"--k must be a positive integer, got {args.k}")
+    bounds = (args.h_min, args.h_max, args.beta_min, args.beta_max)
+    if not all(math.isfinite(v) for v in bounds if v is not None):
+        return _reject("phase", "grid bounds must be finite")
+    if any(v is not None and v < 1 for v in (args.h_steps, args.beta_steps)):
+        return _reject("phase", "--h-steps and --beta-steps must be at least 1")
     if min(args.h_min, args.h_max) <= 0:
         return _reject("phase", "--h-min and --h-max must be positive")
     if args.beta_min is not None and min(args.beta_min, args.beta_max) <= 0:

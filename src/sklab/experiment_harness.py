@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import ctypes
 import json
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -96,8 +97,9 @@ def derive_seed(master: int, trial_index: int) -> int:
 class ExperimentConfig:
     """Declarative description of a Monte Carlo campaign.
 
-    Only closed-form profile specs (monomial spikes, TAP radial term) are
-    allowed here: they serialize losslessly and pickle into worker processes.
+    Only monomial spikes are allowed here: they serialize losslessly and
+    pickle into worker processes.  A ball campaign carries the TAP radial
+    term of its own ``beta``, which the config and sidecar formats record.
     """
 
     model: Literal["sphere", "ball"]
@@ -119,15 +121,17 @@ class ExperimentConfig:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.spike.kind != "monomial":
             raise ValueError("campaign configs support monomial spikes only")
-        if self.model == "ball":
-            if self.radial is None:
-                raise ValueError("ball campaigns need a radial profile")
-            if self.radial.kind != "tap":
-                raise ValueError("campaign configs support the tap radial profile only")
+        if self.model == "ball" and self.radial is None:
+            raise ValueError("ball campaigns need a radial term")
+        if self.radial is not None and self.radial.beta != self.beta:
+            raise ValueError(
+                f"radial term was built for beta={self.radial.beta}, "
+                f"but the campaign's beta is {self.beta}"
+            )
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.sampling_mode not in ("invariance", "rotate"):
@@ -158,25 +162,37 @@ class ExperimentConfig:
             raise ValueError(
                 f"unsupported config schema version {version!r} (expected {SCHEMA_VERSION})"
             )
-        spike_d = data["spike"]
+        spike_d = _required(data, "spike")
         if spike_d.get("kind") != "monomial":
             raise ValueError("campaign configs support monomial spikes only")
         radial_d = data.get("radial")
         if radial_d is not None and radial_d.get("kind") != "tap":
-            raise ValueError("campaign configs support the tap radial profile only")
+            raise ValueError("campaign configs support the tap radial term only")
         return cls(
-            model=data["model"],
-            n=int(data["n"]),
-            trials=int(data["trials"]),
-            master_seed=int(data["master_seed"]),
-            beta=float(data["beta"]),
-            spike=SpikeSpec.monomial(spike_d["h"], spike_d["k"]),
-            radial=RadialSpec.tap(radial_d["beta"]) if radial_d is not None else None,
+            model=_required(data, "model"),
+            n=int(_required(data, "n")),
+            trials=int(_required(data, "trials")),
+            master_seed=int(_required(data, "master_seed")),
+            beta=float(_required(data, "beta")),
+            spike=SpikeSpec.monomial(
+                _required(spike_d, "h", "spike."), _required(spike_d, "k", "spike.")
+            ),
+            radial=(
+                None if radial_d is None
+                else RadialSpec.tap(_required(radial_d, "beta", "radial."))
+            ),
             output_path=data.get("output_path"),
             output_format=data.get("output_format", "csv"),
             parallelism=int(data.get("parallelism", 1)),
             sampling_mode=data.get("sampling_mode", "invariance"),
         )
+
+
+def _required(data: dict, key: str, prefix: str = ""):
+    """``data[key]``; a missing key is a ``ValueError`` naming it."""
+    if key not in data:
+        raise ValueError(f"config is missing {prefix + key!r}")
+    return data[key]
 
 
 def save_config(config: ExperimentConfig, path: str) -> None:
@@ -228,12 +244,12 @@ def _theory(
     if config.model == "sphere":
         leading = maximize_sphere_theory(config.spike, config.beta)
     else:
-        leading = maximize_ball_theory(config.spike, config.radial, config.beta)
+        leading = maximize_ball_theory(config.spike, config.beta)
     try:
         if config.model == "sphere":
             params = fluct_params_sphere(config.spike, config.beta, leading)
         else:
-            params = fluct_params_ball(config.spike, config.radial, config.beta, leading)
+            params = fluct_params_ball(config.spike, config.beta, leading)
     except InapplicableRegimeError as err:
         return leading, None, str(err)
     return leading, params, None
@@ -345,14 +361,9 @@ def _run_trial(
             sol = solve_sphere(sample, config.beta, config.spike)
             r_star = None
         else:
-            lo, hi = config.radial.domain
-            sol = solve_ball(
-                sample,
-                config.beta,
-                config.spike,
-                config.radial,
-                (lo + 1e-9, hi - 1e-9),  # the tap endpoints are open
-            )
+            lo, hi = RadialSpec.tap(config.beta).domain
+            # the endpoints of the Plefka interval are open
+            sol = solve_ball(sample, config.beta, config.spike, (lo + 1e-9, hi - 1e-9))
             r_star = sol.r_star
     except _NUMERICAL_ERRORS:
         invalid = TrialRecord(trial_index, seed, config.n, *([None] * 12), False, elapsed_ms())

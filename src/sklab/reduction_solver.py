@@ -241,8 +241,8 @@ def solve_sphere(sample: GoeSample, beta: float, f: SpikeSpec) -> SphereSolve:
     maximizer itself is ``recover_maximizer(sample, alpha_star, l_star)``; at
     ``alpha = +-1`` it is ``+-u``.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     phi = lambda a, inner: f.value(a) + beta * inner
     best, alpha_star, _, l_star, regime = _best_state(sample, phi, phi)
     return SphereSolve(
@@ -258,16 +258,13 @@ def _radial_interval(R: tuple[float, float]) -> tuple[float, float]:
 
 
 def solve_ball(
-    sample: GoeSample,
-    beta: float,
-    f: SpikeSpec,
-    g: RadialSpec,
-    R: tuple[float, float],
+    sample: GoeSample, beta: float, f: SpikeSpec, R: tuple[float, float]
 ) -> BallSolve:
     """Maximize ``n * (f(r alpha) + g(r) + beta r^2 inner(alpha))`` over overlap and radius.
 
-    ``R = (lo, hi)`` is the closed radial interval, ``0 <= lo <= hi``; pass
-    an open end of ``g``'s domain nudged inward.  The overlap and inner value
+    ``g`` is the TAP radial term at ``beta``.  ``R = (lo, hi)`` is the
+    closed radial interval, ``0 <= lo <= hi``; pass an open end of the
+    Plefka interval nudged inward.  The overlap and inner value
     run over the same states as in :func:`solve_sphere` (the dual curve per
     overlap sign, the plateau and ``alpha = +-1``); at each state the radius
     is maximized, at O(1) cost per radius, by
@@ -275,9 +272,9 @@ def solve_ball(
     problem uses too.  Exact ties are broken toward the side candidates, then
     toward the smaller overlap and radius.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    radial, scan = radial_search(f, g, beta, _radial_interval(R))
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    radial, scan = radial_search(f, beta, _radial_interval(R))
     best, alpha_star, inner, l_star, regime = _best_state(
         sample, lambda a, inner: radial(a, inner)[0], scan
     )
@@ -299,7 +296,6 @@ def oracle_direct(
     sample: GoeSample,
     beta: float,
     f: SpikeSpec,
-    g: RadialSpec | None = None,
     R: tuple[float, float] | None = None,
     restarts: int = 32,
     seed: int = 0,
@@ -307,9 +303,9 @@ def oracle_direct(
     """Projected-gradient ascent lower-bound witness for the ground state.
 
     Maximizes ``n (f(sigma . u) + beta sum_i lam_i sigma_i^2)`` of the
-    sample's diagonal model over the unit sphere, or, with ``g`` given, the
-    radial objective over vectors with ``|m|`` in the closed interval
-    ``R = (lo, hi)`` (default ``(0, 1)``).
+    sample's diagonal model over the unit sphere, or, with ``R = (lo, hi)``
+    given, the ball objective (the TAP radial term at ``beta`` added) over
+    vectors with ``|m|`` in that closed interval.
 
     Multi-start with deterministic warm starts (the spike, the top eigenvector)
     plus seeded random directions; up to 500 backtracking line-search steps
@@ -322,17 +318,15 @@ def oracle_direct(
     top_vec = np.zeros(n)
     top_vec[-1] = 1.0
 
-    ball = g is not None
+    ball = R is not None
     if ball:
-        r_lo, r_hi = _radial_interval(R if R is not None else (0.0, 1.0))
+        r_lo, r_hi = _radial_interval(R)
+        g = RadialSpec.tap(beta)
 
     def objective(x: np.ndarray) -> float:
         if ball:
             r = float(np.linalg.norm(x))
-            gv = float(g.value(r))
-            if not np.isfinite(gv):
-                return -math.inf
-            return n * (float(f.value(float(x @ u))) + gv + beta * quad(x))
+            return n * (float(f.value(float(x @ u))) + g.value(r) + beta * quad(x))
         return n * (float(f.value(float(x @ u))) + beta * quad(x))
 
     def gradient(x: np.ndarray) -> np.ndarray:

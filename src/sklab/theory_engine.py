@@ -5,8 +5,9 @@ The n-to-infinity ground state per site converges to
     sphere:  max_alpha  B(alpha)          = f(alpha) + beta sqrt(2 (1-alpha^2))
     ball:    max_{alpha,r} Bt(alpha, r)   = f(r alpha) + g(r) + beta r^2 sqrt(2 (1-alpha^2))
 
-where ``f`` is the spike profile and ``g`` the radial profile (the TAP
-correction being the main instance).  This module locates the maximizers —
+where ``f`` is the spike profile and ``g`` the TAP radial term
+``log(1-r^2)/2 + (beta^2/2)(1-r^2)^2`` on Plefka's interval, fixed by
+``beta`` alone (:class:`RadialSpec`).  This module locates the maximizers —
 in closed form for monomial spikes, numerically otherwise — exposes the
 phase-transition couplings, and evaluates every constant appearing in the
 second-order (Gaussian fluctuation) description: the coupling ``kappa`` of
@@ -67,7 +68,7 @@ class InapplicableRegimeError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Spike and radial profiles
+# Spike profile and TAP radial term
 
 
 def _vectorize_if_needed(fn: Callable) -> Callable:
@@ -156,81 +157,51 @@ class SpikeSpec:
 
 @dataclass
 class RadialSpec:
-    """Radial profile ``g`` with derivatives through second order.
+    """The TAP radial term ``g(r) = log(1-r^2)/2 + (beta^2/2)(1-r^2)^2``.
 
-    ``RadialSpec.tap(beta)`` is the TAP correction
-    ``g(r) = log(1-r^2)/2 + (beta^2/2)(1-r^2)^2`` on the Plefka domain
-    ``[sqrt(q_P), 1]`` with ``q_P = max(1 - 1/(sqrt2 beta), 0)``;
-    ``RadialSpec.custom(g, d1, d2, domain)`` takes an explicit radial domain.
+    ``beta`` fixes it, and its domain, the Plefka interval ``[sqrt(q_P), 1]``
+    with ``q_P = max(1 - 1/(sqrt2 beta), 0)``.
     """
 
-    kind: Literal["tap", "custom"]
-    beta: float | None = None
-    domain: tuple[float, float] = (0.0, 1.0)
-    _g: Callable | None = None
-    _d1: Callable | None = None
-    _d2: Callable | None = None
+    beta: float
 
     @classmethod
     def tap(cls, beta: float) -> "RadialSpec":
-        if beta <= 0:
-            raise ValueError(f"beta must be positive, got {beta}")
-        q_p = max(1.0 - 1.0 / (SQRT2 * beta), 0.0)
-        return cls(kind="tap", beta=float(beta), domain=(math.sqrt(q_p), 1.0))
-
-    @classmethod
-    def custom(cls, g: Callable, d1: Callable, d2: Callable,
-               domain: tuple[float, float] = (0.0, 1.0)) -> "RadialSpec":
-        lo, hi = float(domain[0]), float(domain[1])
-        if not 0.0 <= lo < hi:
-            raise ValueError(f"invalid radial domain {domain}")
-        for r in (lo + 0.31 * (hi - lo), lo + 0.77 * (hi - lo)):
-            _check_derivative(g, d1, r, "d1")
-            _check_derivative(d1, d2, r, "d2")
-        return cls(
-            kind="custom",
-            domain=(lo, hi),
-            _g=_vectorize_if_needed(g),
-            _d1=_vectorize_if_needed(d1),
-            _d2=_vectorize_if_needed(d2),
-        )
+        if not 0 < beta < math.inf:
+            raise ValueError(f"beta must be positive and finite, got {beta}")
+        return cls(beta=float(beta))
 
     @property
     def plefka_q(self) -> float:
-        if self.kind != "tap":
-            raise ValueError("plefka_q is defined for the tap profile only")
         return max(1.0 - 1.0 / (SQRT2 * self.beta), 0.0)
 
+    @property
+    def domain(self) -> tuple[float, float]:
+        return math.sqrt(self.plefka_q), 1.0
+
     def value(self, r):
-        if self.kind == "tap":
-            r = np.asarray(r, dtype=float)
-            one = 1.0 - r * r
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = 0.5 * np.log(one) + 0.5 * self.beta**2 * one**2
-            out = np.where(one > 0.0, out, -np.inf)
-            return float(out) if out.ndim == 0 else out
-        return self._g(r)
+        """``g(r)``; ``-inf`` for ``r >= 1``."""
+        r = np.asarray(r, dtype=float)
+        one = 1.0 - r * r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = 0.5 * np.log(one) + 0.5 * self.beta**2 * one**2
+        out = np.where(one > 0.0, out, -np.inf)
+        return float(out) if out.ndim == 0 else out
 
     def d1(self, r):
-        if self.kind == "tap":
-            r = np.asarray(r, dtype=float)
-            one = 1.0 - r * r
-            out = -r / one - 2.0 * self.beta**2 * r * one
-            return float(out) if out.ndim == 0 else out
-        return self._d1(r)
+        r = np.asarray(r, dtype=float)
+        one = 1.0 - r * r
+        out = -r / one - 2.0 * self.beta**2 * r * one
+        return float(out) if out.ndim == 0 else out
 
     def d2(self, r):
-        if self.kind == "tap":
-            r = np.asarray(r, dtype=float)
-            one = 1.0 - r * r
-            out = -(1.0 + r * r) / one**2 - 2.0 * self.beta**2 * (1.0 - 3.0 * r * r)
-            return float(out) if out.ndim == 0 else out
-        return self._d2(r)
+        r = np.asarray(r, dtype=float)
+        one = 1.0 - r * r
+        out = -(1.0 + r * r) / one**2 - 2.0 * self.beta**2 * (1.0 - 3.0 * r * r)
+        return float(out) if out.ndim == 0 else out
 
     def to_dict(self) -> dict:
-        if self.kind == "tap":
-            return {"kind": "tap", "beta": self.beta}
-        return {"kind": "custom", "domain": list(self.domain)}
+        return {"kind": "tap", "beta": self.beta}
 
 
 # ---------------------------------------------------------------------------
@@ -272,15 +243,18 @@ def evaluate_B(alpha, beta: float, f: SpikeSpec):
     return float(out) if out.ndim == 0 else out
 
 
-def evaluate_B_tilde(alpha, r, beta: float, f: SpikeSpec, g: RadialSpec):
-    """Limiting radial functional ``f(r alpha) + g(r) + beta r^2 sqrt(2 (1-alpha^2))``."""
+def evaluate_B_tilde(alpha, r, beta: float, f: SpikeSpec):
+    """Limiting radial functional ``f(r alpha) + g(r) + beta r^2 sqrt(2 (1-alpha^2))``.
+
+    ``g`` is the TAP radial term at ``beta``.
+    """
     alpha = np.asarray(alpha, dtype=float)
     r = np.asarray(r, dtype=float)
     if np.any(np.abs(alpha) > 1.0):
         raise ValueError("overlap must lie in [-1, 1]")
     out = (
         f.value(r * alpha)
-        + g.value(r)
+        + RadialSpec.tap(beta).value(r)
         + beta * r**2 * np.sqrt(np.maximum(2.0 * (1.0 - alpha**2), 0.0))
     )
     return float(out) if out.ndim == 0 else out
@@ -488,8 +462,8 @@ def maximize_sphere_theory(f: SpikeSpec, beta: float) -> LeadingOrder:
     ``applicable=False`` rather than raising, since the leading order is
     still perfectly well defined there.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if f.kind == "monomial":
         return _maximize_sphere_monomial(f, beta)
     return _maximize_sphere_numeric(f, beta)
@@ -517,8 +491,8 @@ def tap_threshold(k: int, beta: float) -> float:
     """
     if k < 1 or k != int(k):
         raise ValueError(f"degree must be a positive integer, got {k}")
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if k == 1:
         return 0.0
     if k == 2:
@@ -544,28 +518,28 @@ def tap_threshold(k: int, beta: float) -> float:
     return -neg_best
 
 
-def _boundary_leading(beta: float, g: RadialSpec, reason: str) -> LeadingOrder:
+def _boundary_leading(beta: float, reason: str) -> LeadingOrder:
     return LeadingOrder(
         alpha_hat=0.0,
         l_hat=SQRT2,
         z_hat=SQRT2,
         value=_plefka_F(beta),
         multiplicity="single",
-        r_hat=g.domain[0],
+        r_hat=RadialSpec.tap(beta).domain[0],
         applicable=False,
         reason=reason,
     )
 
 
-def _maximize_ball_tap_monomial(f: SpikeSpec, g: RadialSpec, beta: float) -> LeadingOrder:
+def _maximize_ball_tap_monomial(f: SpikeSpec, beta: float) -> LeadingOrder:
     h, k = f.h, f.k
-    q_p = g.plefka_q
+    q_p = RadialSpec.tap(beta).plefka_q
     if h <= 0.0:
         if h < 0.0 and k % 2 == 1:
-            mirror = _maximize_ball_tap_monomial(SpikeSpec.monomial(-h, k), g, beta)
+            mirror = _maximize_ball_tap_monomial(SpikeSpec.monomial(-h, k), beta)
             mirror.alpha_hat = -mirror.alpha_hat
             return mirror
-        return _boundary_leading(beta, g, "zero-overlap boundary maximizer")
+        return _boundary_leading(beta, "zero-overlap boundary maximizer")
     if k == 1:
         b2 = beta * beta
 
@@ -576,13 +550,13 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, g: RadialSpec, beta: float) -> Lea
 
         lo_q, hi_q = q_p + 1e-15, 1.0 - 1e-15
         if slope(lo_q) <= 0.0:  # concave objective already decreasing
-            return _boundary_leading(beta, g, "boundary maximizer")
+            return _boundary_leading(beta, "boundary maximizer")
         q_hat = _largest_root_decreasing(slope, lo_q, hi_q, tol=1e-15)
         r_hat = math.sqrt(q_hat)
         a = h / math.sqrt(h * h + 2.0 * b2 * q_hat)
         l_hat, z_hat = _geometry(a)
         return LeadingOrder(
-            a, l_hat, z_hat, float(evaluate_B_tilde(a, r_hat, beta, f, g)),
+            a, l_hat, z_hat, float(evaluate_B_tilde(a, r_hat, beta, f)),
             "single", r_hat=r_hat,
         )
     if k == 2:
@@ -592,7 +566,7 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, g: RadialSpec, beta: float) -> Lea
                 if beta == SQRT2 * h and h > 0.5
                 else "zero-overlap boundary maximizer"
             )
-            return _boundary_leading(beta, g, reason)
+            return _boundary_leading(beta, reason)
         r_hat = math.sqrt(1.0 - 1.0 / (2.0 * h))
         a = math.sqrt(1.0 - beta * beta / (2.0 * h * h))
         l_hat, z_hat = _geometry(a)
@@ -604,7 +578,7 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, g: RadialSpec, beta: float) -> Lea
     h_c = tap_threshold(k, beta)
     if h <= h_c:
         reason = "tied interior/boundary state" if h == h_c else "boundary maximizer"
-        return _boundary_leading(beta, g, reason)
+        return _boundary_leading(beta, reason)
     b2 = beta * beta
 
     def t_of_q(q: float) -> float:
@@ -619,7 +593,7 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, g: RadialSpec, beta: float) -> Lea
     peak_q, peak_v = golden_max(t_of_q, lo_q + 1e-12, 1.0 - 1e-12, tol=1e-13)
     target = 1.0 / (h * k)
     if peak_v < target:
-        return _boundary_leading(beta, g, "no interior critical point")
+        return _boundary_leading(beta, "no interior critical point")
     q_hat = _largest_root_decreasing(
         lambda q: t_of_q(q) - target, peak_q, 1.0 - 1e-15, tol=1e-15
     )
@@ -627,12 +601,12 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, g: RadialSpec, beta: float) -> Lea
     a = math.sqrt(max(1.0 - 2.0 * b2 * (1.0 - q_hat) ** 2, 0.0))
     l_hat, z_hat = _geometry(a)
     return LeadingOrder(
-        a, l_hat, z_hat, float(evaluate_B_tilde(a, r_hat, beta, f, g)),
+        a, l_hat, z_hat, float(evaluate_B_tilde(a, r_hat, beta, f)),
         "pair" if k % 2 == 0 else "single", r_hat=r_hat,
     )
 
 
-def _ball_hessian(alpha: float, r: float, beta: float, f: SpikeSpec, g: RadialSpec) -> np.ndarray:
+def _ball_hessian(alpha: float, r: float, beta: float, f: SpikeSpec) -> np.ndarray:
     """Hessian of the radial functional in (overlap, radius) coordinates."""
     one = 1.0 - alpha * alpha
     root = math.sqrt(one)
@@ -640,31 +614,31 @@ def _ball_hessian(alpha: float, r: float, beta: float, f: SpikeSpec, g: RadialSp
     f1, f2 = float(f.d1(x)), float(f.d2(x))
     b_aa = f2 * r * r - SQRT2 * beta * r * r / one**1.5
     b_ar = f1 + f2 * r * alpha - 2.0 * SQRT2 * beta * r * alpha / root
-    b_rr = f2 * alpha * alpha + float(g.d2(r)) + 2.0 * SQRT2 * beta * root
+    b_rr = f2 * alpha * alpha + RadialSpec.tap(beta).d2(r) + 2.0 * SQRT2 * beta * root
     return np.array([[b_aa, b_ar], [b_ar, b_rr]])
 
 
-def radial_search(f: SpikeSpec, g: RadialSpec, beta: float, R: tuple[float, float]):
+def radial_search(f: SpikeSpec, beta: float, R: tuple[float, float]):
     """Radius maximizer of ``f(r alpha) + g(r) + beta r^2 inner`` over ``R = (lo, hi)``.
 
-    Both ball problems use it: ``inner`` is the constrained quadratic maximum
-    at finite n and ``sqrt(2 (1 - alpha^2))`` in the limit.  Returns
+    ``g`` is the TAP radial term at ``beta``.  Both ball problems use it:
+    ``inner`` is the constrained quadratic maximum at finite n and
+    ``sqrt(2 (1 - alpha^2))`` in the limit.  Returns
     ``(radial, scan)``: ``radial(alpha, inner)`` is the best ``(value, r)``,
     a 201-point scan of the closed interval refined by golden-section search
     around its best point; ``scan(alphas, inners)`` is its lower bound on
     arrays of states, the best scanned radius.
     """
+    g = RadialSpec.tap(beta)
     rs = np.linspace(float(R[0]), float(R[1]), 201)
-    g_grid = np.array(g.value(rs), dtype=float)
-    g_grid[~np.isfinite(g_grid)] = -np.inf
+    g_grid = g.value(rs)
 
     def objective(r, alpha, inner, gv):
         """The ball objective at radius ``r`` with ``gv = g(r)``; broadcasts."""
         return f.value(r * alpha) + gv + beta * r * r * inner
 
     def at_radius(r: float, alpha: float, inner: float) -> float:
-        gv = float(g.value(r))
-        return float(objective(r, alpha, inner, gv)) if math.isfinite(gv) else -math.inf
+        return float(objective(r, alpha, inner, g.value(r)))
 
     def radial(alpha: float, inner: float) -> tuple[float, float]:
         vals = objective(rs, alpha, inner, g_grid)
@@ -677,15 +651,16 @@ def radial_search(f: SpikeSpec, g: RadialSpec, beta: float, R: tuple[float, floa
     return radial, scan
 
 
-def _maximize_ball_numeric(f: SpikeSpec, g: RadialSpec, beta: float) -> LeadingOrder:
+def _maximize_ball_numeric(f: SpikeSpec, beta: float) -> LeadingOrder:
+    g = RadialSpec.tap(beta)
     r_lo, r_hi = g.domain
-    radial, scan = radial_search(f, g, beta, g.domain)
+    radial, scan = radial_search(f, beta, g.domain)
     alphas = np.linspace(-1.0, 1.0, 201)
     over_radius = lambda t: radial(t, _geometry(t)[1])[0]
     z_grid = np.sqrt(2.0 * (1.0 - alphas**2))
     a, _ = grid_golden_max(over_radius, alphas, scan(alphas, z_grid))
     val, r = radial(a, _geometry(a)[1])
-    fun = lambda a, r: float(evaluate_B_tilde(a, r, beta, f, g))
+    fun = lambda a, r: float(evaluate_B_tilde(a, r, beta, f))
     # Newton polish on the gradient when strictly interior
     interior = (
         abs(a) < 1.0 - 1e-9 and r_lo + 1e-9 < r < r_hi - 1e-9 and abs(a) > 1e-9
@@ -700,7 +675,7 @@ def _maximize_ball_numeric(f: SpikeSpec, g: RadialSpec, beta: float) -> LeadingO
                     + 2.0 * SQRT2 * beta * r * math.sqrt(one),
                 ]
             )
-            hess = _ball_hessian(a, r, beta, f, g)
+            hess = _ball_hessian(a, r, beta, f)
             try:
                 step = np.linalg.solve(hess, grad)
             except np.linalg.LinAlgError:
@@ -724,29 +699,28 @@ def _maximize_ball_numeric(f: SpikeSpec, g: RadialSpec, beta: float) -> LeadingO
         lo.applicable = False
         lo.reason = "boundary maximizer"
     else:
-        hess = _ball_hessian(lo.alpha_hat, r, beta, f, g)
+        hess = _ball_hessian(lo.alpha_hat, r, beta, f)
         if not (np.trace(hess) < 0 and np.linalg.det(hess) > 0):
             lo.applicable = False
             lo.reason = "degenerate curvature at maximizer"
     return lo
 
 
-def maximize_ball_theory(f: SpikeSpec, g: RadialSpec, beta: float) -> LeadingOrder:
-    """Global maximizer of the limiting radial functional.
+def maximize_ball_theory(f: SpikeSpec, beta: float) -> LeadingOrder:
+    """Global maximizer of the limiting radial functional, the TAP free energy at ``beta``.
 
-    Closed-form dispatch for monomial spikes with the TAP radial profile
-    (scalar root-finding per degree, with the ``tap_threshold`` phase check).
-    Otherwise a 201-point overlap grid, each point maximized over the radius
-    by :func:`radial_search`, refined by golden-section search and Newton
-    polish.  Boundary or zero-overlap maximizers are returned flagged.
+    Closed-form dispatch for monomial spikes (scalar root-finding per degree,
+    with the ``tap_threshold`` phase check).  Custom spikes take the numeric
+    path: a 201-point overlap grid, each point maximized over the radius by
+    :func:`radial_search`, refined by golden-section search and Newton polish;
+    it never calls ``tap_threshold``.  Boundary or zero-overlap maximizers are
+    returned flagged.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    if f.kind == "monomial" and g.kind == "tap":
-        if g.beta != beta:
-            raise ValueError("tap radial profile was built for a different beta")
-        return _maximize_ball_tap_monomial(f, g, beta)
-    return _maximize_ball_numeric(f, g, beta)
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
+    if f.kind == "monomial":
+        return _maximize_ball_tap_monomial(f, beta)
+    return _maximize_ball_numeric(f, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -848,9 +822,7 @@ def fluct_params_sphere(
     return _fluct_params(sphere_saddle(f, beta, leading), leading.alpha_hat)
 
 
-def ball_saddle(
-    f: SpikeSpec, g: RadialSpec, beta: float, leading: LeadingOrder
-) -> GenericMinimaxInput:
+def ball_saddle(f: SpikeSpec, beta: float, leading: LeadingOrder) -> GenericMinimaxInput:
     """Saddle partials of the radial problem at the maximizer ``leading``.
 
     The outer variable is ``y = (overlap, radius)``; ``hessian_B`` is the
@@ -866,12 +838,12 @@ def ball_saddle(
         h_l_g=2.0 * beta * r2 / z,
         h_l_l=beta * r2 * z**3 / a**4,
         h_l_y=np.array([-2.0 * beta * r2 / a, 0.0]),
-        hessian_B=_ball_hessian(a, r, beta, f, g),
+        hessian_B=_ball_hessian(a, r, beta, f),
     )
 
 
 def fluct_params_ball(
-    f: SpikeSpec, g: RadialSpec, beta: float, leading: LeadingOrder | None = None
+    f: SpikeSpec, beta: float, leading: LeadingOrder | None = None
 ) -> FluctuationParams:
     """Fluctuation constants of the radial (TAP) ground state.
 
@@ -880,10 +852,10 @@ def fluct_params_ball(
     raises ``InapplicableRegimeError`` otherwise.
     """
     if leading is None:
-        leading = maximize_ball_theory(f, g, beta)
+        leading = maximize_ball_theory(f, beta)
     if not leading.applicable:
         raise InapplicableRegimeError(leading.reason or "inapplicable leading order")
-    return _fluct_params(ball_saddle(f, g, beta, leading), leading.alpha_hat)
+    return _fluct_params(ball_saddle(f, beta, leading), leading.alpha_hat)
 
 
 # ---------------------------------------------------------------------------
@@ -953,8 +925,8 @@ def generic_minimax_params(inp: GenericMinimaxInput) -> MinimaxExpansion:
 
 def corollary_constants(k: int, h: float, beta: float) -> FluctuationParams:
     """Literal closed forms of the sphere fluctuation constants for degree 1 and 2."""
-    if beta <= 0:
-        raise ValueError(f"beta must be positive, got {beta}")
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
     if k == 1:
         if h == 0.0:
             raise InapplicableRegimeError("degree-1 constants need h != 0")

@@ -85,9 +85,12 @@ class TestTheoryCommand:
         assert "unavailable" in out
 
     def test_out_of_range_beta_rejected(self, capsys):
-        rc = main(["theory", "--spike", "monomial:1:1", "--beta", "0", "--ball"])
-        assert rc == 2
-        assert capsys.readouterr().err == "sklab theory: beta must be positive, got 0.0\n"
+        for beta, ball in (("0", ["--ball"]), ("nan", []), ("inf", ["--ball"])):
+            rc = main(["theory", "--spike", "monomial:1:1", "--beta", beta, *ball])
+            assert rc == 2
+            assert capsys.readouterr().err == (
+                f"sklab theory: beta must be positive and finite, got {float(beta)}\n"
+            )
 
 
 class TestSimulateCommand:
@@ -131,9 +134,28 @@ class TestSimulateCommand:
         assert rc == 2
         assert "--trials" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--n", "1"], ["--config", "missing.json"]])
+    BAD_CONFIGS = {
+        # a radial term built for another beta
+        "mismatched.json": {
+            "schema_version": 1, "model": "ball", "n": 40, "trials": 2, "master_seed": 1,
+            "beta": 1.0, "spike": {"kind": "monomial", "h": 1.0, "k": 1},
+            "radial": {"kind": "tap", "beta": 2.0},
+        },
+        "incomplete.json": {"schema_version": 1,
+                            "spike": {"kind": "monomial", "h": 1.0, "k": 1}},
+    }
+
+    @pytest.mark.parametrize("flags", [
+        ["--n", "1"],
+        ["--config", "missing.json"],
+        ["--config", "mismatched.json"],
+        ["--config", "incomplete.json"],
+        ["--model", "ball", "--beta", "inf"],
+    ])
     def test_out_of_range_input_rejected(self, capsys, monkeypatch, tmp_path, flags):
         monkeypatch.chdir(tmp_path)
+        for name, doc in self.BAD_CONFIGS.items():
+            (tmp_path / name).write_text(json.dumps(doc))
         rc = main(["simulate", "--model", "sphere", "--n", "40", "--trials", "2",
                    "--seed", "1", "--beta", "1", "--spike", "monomial:1:1", *flags])
         assert rc == 2
@@ -183,6 +205,10 @@ class TestPhaseCommand:
         ["--k", "0"],
         ["--h-min", "0"],
         ["--beta-min", "0", "--beta-max", "1", "--beta-steps", "2"],
+        ["--h-steps", "-1"],
+        ["--beta-min", "0.5", "--beta-max", "1", "--beta-steps", "-2"],
+        ["--h-max", "nan"],
+        ["--beta-min", "0.5", "--beta-max", "inf", "--beta-steps", "2"],
     ])
     def test_out_of_range_input_rejected(self, capsys, tmp_path, flags):
         out = tmp_path / "phase.csv"

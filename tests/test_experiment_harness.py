@@ -94,6 +94,11 @@ class TestConfig:
             sphere_config(trials=0)
         with pytest.raises(ValueError, match="radial"):
             sphere_config(model="ball")
+        with pytest.raises(ValueError, match="radial term was built for beta=2.0"):
+            sphere_config(model="ball", radial=RadialSpec.tap(2.0))
+        for beta in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="beta must be positive and finite"):
+                sphere_config(beta=beta)
         with pytest.raises(ValueError, match="model"):
             sphere_config(model="torus")
         with pytest.raises(ValueError, match="monomial"):
@@ -257,7 +262,7 @@ class TestRunTrials:
                 residual = residual_sphere
             else:
                 lo, hi = cfg.radial.domain
-                sol = solve_ball(sample, cfg.beta, cfg.spike, cfg.radial, (lo + 1e-9, hi - 1e-9))
+                sol = solve_ball(sample, cfg.beta, cfg.spike, (lo + 1e-9, hi - 1e-9))
                 residual = residual_ball
             stats = compute_statistics(sample, lead.l_hat)
             assert rec.value == sol.value
@@ -328,7 +333,7 @@ class TestSidecar:
             radial=RadialSpec.tap(1.0),
         )
         side = theory_sidecar(cfg)
-        lead = maximize_ball_theory(cfg.spike, cfg.radial, cfg.beta)
+        lead = maximize_ball_theory(cfg.spike, cfg.beta)
         assert side["leading"]["r_hat"] == pytest.approx(lead.r_hat, abs=1e-12)
         assert side["fluctuation"]["kappa"] == pytest.approx(0.25, abs=1e-12)
 

@@ -315,14 +315,13 @@ class TestResiduals:
 
     def test_ball_residuals_small_at_moderate_n(self):
         f = SpikeSpec.monomial(1.0, 1)
-        g = RadialSpec.tap(1.0)
-        lead = maximize_ball_theory(f, g, 1.0)
-        par = fluct_params_ball(f, g, 1.0, lead)
-        dom = (math.sqrt(g.plefka_q) + 1e-9, 1.0 - 1e-9)
+        lead = maximize_ball_theory(f, 1.0)
+        par = fluct_params_ball(f, 1.0, lead)
+        dom = (RadialSpec.tap(1.0).domain[0] + 1e-9, 1.0 - 1e-9)
         res = []
         for seed in range(10):
             sample = sample_spectral_model(500, seed=3000 + seed, mode="invariance")
-            sol = solve_ball(sample, 1.0, f, g, dom)
+            sol = solve_ball(sample, 1.0, f, dom)
             try:
                 st_ = compute_statistics(sample, lead.l_hat)
             except PoleError:

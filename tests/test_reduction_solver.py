@@ -197,26 +197,22 @@ def test_solve_sphere_lln_sanity():
 
 
 def test_solve_ball_reduces_to_sphere_at_unit_radius():
+    # pinned at radius r0, the ball is the unit-sphere problem with coupling
+    # beta r0^2 and spike h r0 x, shifted by n g(r0)
     s = random_sample(7, 9)
-    f = SpikeSpec.monomial(1.0, 1)
-    g = RadialSpec.custom(
-        lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-        domain=(1.0 - 1e-12, 1.0),
-    )
-    ball = solve_ball(s, 1.0, f, g, (1.0, 1.0))
-    sphere = solve_sphere(s, 1.0, f)
-    assert ball.r_star == pytest.approx(1.0, abs=1e-12)
-    assert ball.value == pytest.approx(sphere.value, rel=1e-9)
+    g = RadialSpec.tap(1.0)
+    for r0 in (0.6, 0.8, 0.95):
+        ball = solve_ball(s, 1.0, SpikeSpec.monomial(1.0, 1), (r0, r0))
+        sphere = solve_sphere(s, r0 * r0, SpikeSpec.monomial(r0, 1))
+        assert ball.r_star == r0
+        assert ball.value == pytest.approx(s.n * g.value(r0) + sphere.value, rel=1e-12)
 
 
 def test_solve_ball_lln_sanity():
     s = sample_spectral_model(400, seed=1, mode="invariance")
     f = SpikeSpec.monomial(1.0, 1)
-    g = RadialSpec.tap(1.0)
-    sol = solve_ball(s, 1.0, f, g, (g.domain[0], 1.0 - 1e-9))
-    lo = maximize_ball_theory(f, g, 1.0)
+    sol = solve_ball(s, 1.0, f, (RadialSpec.tap(1.0).domain[0], 1.0 - 1e-9))
+    lo = maximize_ball_theory(f, 1.0)
     assert sol.value / s.n == pytest.approx(lo.value, abs=0.08)
     assert sol.r_star == pytest.approx(lo.r_hat, abs=0.1)
     assert sol.alpha_star == pytest.approx(lo.alpha_hat, abs=0.1)
@@ -224,24 +220,24 @@ def test_solve_ball_lln_sanity():
 
 def test_solve_ball_matches_direct_oracle():
     f = SpikeSpec.monomial(1.0, 1)
-    g = RadialSpec.tap(1.0)
+    R = (RadialSpec.tap(1.0).domain[0], 1.0 - 1e-9)
     for seed in range(3):
         s = sample_spectral_model(6, seed=100 + seed, mode="invariance")
-        sol = solve_ball(s, 1.0, f, g, (g.domain[0], 1.0 - 1e-9))
-        direct = oracle_direct(
-            s, 1.0, f, g=g, R=(g.domain[0], 1.0 - 1e-9), restarts=24, seed=seed
-        )
+        sol = solve_ball(s, 1.0, f, R)
+        direct = oracle_direct(s, 1.0, f, R=R, restarts=24, seed=seed)
         assert sol.value == pytest.approx(direct, abs=1e-5)
 
 
 def test_solve_ball_rejects_bad_domain():
     s = random_sample(1, 4)
     f = SpikeSpec.monomial(1.0, 1)
-    g = RadialSpec.tap(1.0)
     with pytest.raises(ValueError):
-        solve_ball(s, 1.0, f, g, (-0.2, 0.5))
-    with pytest.raises(ValueError):
-        solve_sphere(s, -1.0, f)
+        solve_ball(s, 1.0, f, (-0.2, 0.5))
+    for beta in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            solve_sphere(s, beta, f)
+        with pytest.raises(ValueError):
+            solve_ball(s, beta, f, (0.6, 0.9))
 
 
 # ---------------------------------------------------------------------------
@@ -407,9 +403,8 @@ def test_solve_sphere_matches_trust_region_at_n300(seed):
 def test_solve_ball_reaches_joint_maximum():
     # the radius and overlap are maximized jointly, not coordinate-wise
     s = sample_spectral_model(100, seed=4, mode="invariance")
-    g = RadialSpec.tap(1.0)
-    lo, hi = g.domain[0] + 1e-9, 1.0 - 1e-9
-    sol = solve_ball(s, 1.0, SpikeSpec.monomial(1.0, 1), g, (lo, hi))
+    lo, hi = RadialSpec.tap(1.0).domain[0] + 1e-9, 1.0 - 1e-9
+    sol = solve_ball(s, 1.0, SpikeSpec.monomial(1.0, 1), (lo, hi))
     assert sol.value / s.n == pytest.approx(tap_ball_max(s, 1.0, 1.0, lo, hi), abs=1e-10)
 
 

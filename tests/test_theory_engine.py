@@ -39,7 +39,8 @@ def grid_max_B(f, beta, pts=200001):
     return float(alphas[i]), float(vals[i])
 
 
-def grid_max_B_tilde(f, g, beta, pts=2001):
+def grid_max_B_tilde(f, beta, pts=2001):
+    g = RadialSpec.tap(beta)
     alphas = np.linspace(-1.0, 1.0, pts)
     rs = np.linspace(g.domain[0], g.domain[1], pts)
     gv = np.asarray(g.value(rs), dtype=float)
@@ -65,22 +66,23 @@ def semicircle_s(l, order=0):
     raise ValueError(order)
 
 
-def perturbed_minimax_eps2(f, beta, phi, psi, eps, g=None):
+def perturbed_minimax_eps2(f, beta, phi, psi, eps, ball=False):
     """Second-difference estimate of the eps^2 coefficient of the perturbed
     sup-inf value, via Newton on the joint (alpha, [r,] l) stationarity system.
 
     The transform s is replaced by s + eps phi + eps^2 psi in
         sphere:  f(alpha) + beta (l - alpha^2 / s(l))
         ball:    f(r alpha) + g(r) + beta r^2 (l - alpha^2 / s(l))
-    with the ball form used when a radial profile ``g`` is given.  Newton
-    starts from the limit maximizer and uses a finite-difference Jacobian,
-    which is reliable for overlaps up to about 0.95.
+    with the ball form, ``g`` the TAP radial term, used when ``ball`` is set.
+    Newton starts from the limit maximizer and uses a finite-difference
+    Jacobian, which is reliable for overlaps up to about 0.95.
     """
+    g = RadialSpec.tap(beta) if ball else None
     if g is None:
         lead = maximize_sphere_theory(f, beta)
         x0 = [lead.alpha_hat, lead.l_hat]
     else:
-        lead = maximize_ball_theory(f, g, beta)
+        lead = maximize_ball_theory(f, beta)
         x0 = [lead.alpha_hat, lead.r_hat, lead.l_hat]
 
     def value(e):
@@ -122,26 +124,26 @@ def perturbed_minimax_eps2(f, beta, phi, psi, eps, g=None):
     return (value(eps) + value(-eps) - 2 * value(0.0)) / (2 * eps * eps)
 
 
-def second_order_predictions(f, beta, g=None, eps=2e-3):
+def second_order_predictions(f, beta, ball=False, eps=2e-3):
     """Measured eps^2 coefficient of a smooth-bump perturbation, with its
     predictions ``kappa psi(l_hat) - v M v / 2`` for M = G_resid and M = G."""
-    if g is None:
+    if not ball:
         lead = maximize_sphere_theory(f, beta)
         fp = fluct_params_sphere(f, beta, lead)
     else:
-        lead = maximize_ball_theory(f, g, beta)
-        fp = fluct_params_ball(f, g, beta, lead)
+        lead = maximize_ball_theory(f, beta)
+        fp = fluct_params_ball(f, beta, lead)
     phi = lambda l: 1.0 / (l - 0.3)
     phip = lambda l: -1.0 / (l - 0.3) ** 2
     psi = lambda l: 0.7 / (l - 0.1) ** 2
     v = np.array([phi(lead.l_hat), phip(lead.l_hat)])
     pred = lambda m: fp.kappa * psi(lead.l_hat) - 0.5 * v @ m @ v
-    c2 = perturbed_minimax_eps2(f, beta, phi, psi, eps, g)
+    c2 = perturbed_minimax_eps2(f, beta, phi, psi, eps, ball)
     return c2, pred(fp.G_resid), pred(fp.G)
 
 
 # ---------------------------------------------------------------------------
-# Spike and radial profile plumbing
+# Spike profile and TAP radial term plumbing
 
 
 def test_monomial_derivatives():
@@ -187,17 +189,24 @@ def test_tap_profile_values():
     assert g.d1(r) == pytest.approx((g.value(r + h) - g.value(r - h)) / (2 * h), rel=1e-6)
     assert g.d2(r) == pytest.approx((g.d1(r + h) - g.d1(r - h)) / (2 * h), rel=1e-6)
     assert g.value(1.0) == -math.inf
+    # beta enters every TAP-side entry point as a positive finite number
+    f = SpikeSpec.monomial(1.0, 1)
+    for beta in (0.0, math.inf, math.nan):
+        for call in (
+            lambda: RadialSpec.tap(beta),
+            lambda: tap_threshold(3, beta),
+            lambda: maximize_sphere_theory(f, beta),
+            lambda: maximize_ball_theory(f, beta),
+            lambda: corollary_constants(1, 1.0, beta),
+        ):
+            with pytest.raises(ValueError, match="positive and finite"):
+                call()
 
 
 def test_tap_plefka_zero_below_weak_coupling():
     g = RadialSpec.tap(0.5)
     assert g.plefka_q == 0.0
     assert g.domain == (0.0, 1.0)
-
-
-def test_custom_radial_rejects_bad_domain():
-    with pytest.raises(ValueError):
-        RadialSpec.custom(lambda r: r, lambda r: 1.0, lambda r: 0.0, domain=(0.7, 0.2))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +226,7 @@ def test_evaluate_B_tilde_matches_parts():
     g = RadialSpec.tap(1.0)
     a, r = 0.5, 0.8
     expected = f.value(r * a) + g.value(r) + 1.0 * r * r * math.sqrt(2 * (1 - a * a))
-    assert evaluate_B_tilde(a, r, 1.0, f, g) == pytest.approx(expected, abs=1e-15)
+    assert evaluate_B_tilde(a, r, 1.0, f) == pytest.approx(expected, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +357,7 @@ def test_geometry_identities(h, b):
 
 
 def test_ball_linear_spike_frozen():
-    g = RadialSpec.tap(1.0)
-    lo = maximize_ball_theory(SpikeSpec.monomial(1.0, 1), g, 1.0)
+    lo = maximize_ball_theory(SpikeSpec.monomial(1.0, 1), 1.0)
     assert lo.r_hat**2 == pytest.approx(0.5, abs=1e-12)
     assert lo.alpha_hat == pytest.approx(1 / SQRT2, abs=1e-12)
     assert lo.value == pytest.approx(1 + 0.5 * math.log(0.5) + 0.125, abs=1e-13)
@@ -357,8 +365,7 @@ def test_ball_linear_spike_frozen():
 
 
 def test_ball_quadratic_spike_frozen():
-    g = RadialSpec.tap(1.0)
-    lo = maximize_ball_theory(SpikeSpec.monomial(1.0, 2), g, 1.0)
+    lo = maximize_ball_theory(SpikeSpec.monomial(1.0, 2), 1.0)
     assert lo.r_hat == pytest.approx(math.sqrt(0.5), abs=1e-15)
     assert lo.alpha_hat == pytest.approx(1 / SQRT2, abs=1e-15)
     assert lo.value == pytest.approx(0.375 + 1 - 0.5 * (1 + math.log(2)), abs=1e-14)
@@ -367,18 +374,16 @@ def test_ball_quadratic_spike_frozen():
 
 def test_ball_quadratic_boundary_below_threshold():
     # h below the degree-2 threshold: boundary maximizer at the Plefka edge
-    g = RadialSpec.tap(1.0)
-    lo = maximize_ball_theory(SpikeSpec.monomial(0.4, 2), g, 1.0)
+    lo = maximize_ball_theory(SpikeSpec.monomial(0.4, 2), 1.0)
     assert not lo.applicable
     assert lo.alpha_hat == 0.0
-    assert lo.r_hat == pytest.approx(math.sqrt(g.plefka_q))
+    assert lo.r_hat == pytest.approx(math.sqrt(RadialSpec.tap(1.0).plefka_q))
     assert lo.value == pytest.approx(SQRT2 - 0.75 - 0.5 * math.log(SQRT2), abs=1e-14)
 
 
 def test_ball_boundary_value_is_plefka_free_energy():
     # weak coupling: F = beta^2/2 at radius 0
-    g = RadialSpec.tap(0.5)
-    lo = maximize_ball_theory(SpikeSpec.monomial(0.3, 2), g, 0.5)
+    lo = maximize_ball_theory(SpikeSpec.monomial(0.3, 2), 0.5)
     assert not lo.applicable
     assert lo.value == pytest.approx(0.125, abs=1e-14)
     assert lo.r_hat == 0.0
@@ -387,9 +392,8 @@ def test_ball_boundary_value_is_plefka_free_energy():
 def test_ball_closed_form_beats_grid():
     for h, k, b in [(1.0, 1, 1.0), (1.0, 2, 1.0), (2.0, 3, 0.8), (1.5, 4, 0.5)]:
         f = SpikeSpec.monomial(h, k)
-        g = RadialSpec.tap(b)
-        lo = maximize_ball_theory(f, g, b)
-        a_g, r_g, v_g = grid_max_B_tilde(f, g, b)
+        lo = maximize_ball_theory(f, b)
+        a_g, r_g, v_g = grid_max_B_tilde(f, b)
         assert lo.value >= v_g - 1e-10
         assert lo.value == pytest.approx(v_g, abs=1e-4)
 
@@ -398,7 +402,7 @@ def test_ball_interior_stationarity():
     for h, k, b in [(1.0, 1, 1.0), (1.0, 2, 1.0), (2.0, 3, 0.8)]:
         f = SpikeSpec.monomial(h, k)
         g = RadialSpec.tap(b)
-        lo = maximize_ball_theory(f, g, b)
+        lo = maximize_ball_theory(f, b)
         assert lo.applicable
         a, r = lo.alpha_hat, lo.r_hat
         da = float(f.d1(r * a)) * r - SQRT2 * b * r * r * a / math.sqrt(1 - a * a)
@@ -416,24 +420,26 @@ def test_tap_threshold_low_degrees():
 
 
 def test_tap_threshold_brackets_phase_change():
-    # crossing h_c flips the maximizer between boundary and interior
+    # crossing h_c flips the maximizer between boundary and interior; the
+    # closed form decides the phase with tap_threshold itself, so the numeric
+    # path, which never calls it, witnesses each bracket too
     for k in (3, 4):
         for b in (0.6, 1.0):
             hc = tap_threshold(k, b)
-            g = RadialSpec.tap(b)
-            below = maximize_ball_theory(SpikeSpec.monomial(hc * 0.99, k), g, b)
-            above = maximize_ball_theory(SpikeSpec.monomial(hc * 1.01, k), g, b)
-            assert not below.applicable
-            assert above.applicable
-            assert above.alpha_hat > 0
+            for h, applicable in ((hc * 0.99, False), (hc * 1.01, True)):
+                mono = SpikeSpec.monomial(h, k)
+                for spike in (mono, SpikeSpec.custom(mono.value, mono.d1, mono.d2)):
+                    lead = maximize_ball_theory(spike, b)
+                    assert lead.applicable == applicable
+                    if applicable:
+                        assert lead.alpha_hat > 0
 
 
 def test_tap_threshold_value_continuity():
     # just above h_c the interior value exceeds the boundary value by a hair
     k, b = 3, 0.9
     hc = tap_threshold(k, b)
-    g = RadialSpec.tap(b)
-    above = maximize_ball_theory(SpikeSpec.monomial(hc * 1.001, k), g, b)
+    above = maximize_ball_theory(SpikeSpec.monomial(hc * 1.001, k), b)
     boundary = SQRT2 * b - 0.75 - 0.5 * math.log(SQRT2 * b)
     assert above.value >= boundary
     assert above.value == pytest.approx(boundary, abs=1e-3)
@@ -450,22 +456,16 @@ def test_tap_threshold_continuous_at_plefka_corner(k):
 
 def test_ball_theory_at_plefka_corner_never_below_boundary():
     b = 1 / SQRT2
-    g = RadialSpec.tap(b)
     for h in np.linspace(1.0, 1.3, 10):
-        lead = maximize_ball_theory(SpikeSpec.monomial(float(h), 3), g, b)
+        lead = maximize_ball_theory(SpikeSpec.monomial(float(h), 3), b)
         assert lead.value >= _plefka_F(b) - 1e-14
 
 
 def test_ball_numeric_path_matches_closed_form():
-    g1 = RadialSpec.tap(1.0)
-    gc = RadialSpec.custom(
-        lambda r: g1.value(r),
-        lambda r: g1.d1(r),
-        lambda r: g1.d2(r),
-        domain=(g1.domain[0] + 1e-9, 1.0 - 1e-9),
-    )
-    lo_n = maximize_ball_theory(SpikeSpec.monomial(1.0, 1), gc, 1.0)
-    lo_c = maximize_ball_theory(SpikeSpec.monomial(1.0, 1), g1, 1.0)
+    # a custom copy of the monomial spike forces the numeric path
+    mono = SpikeSpec.monomial(1.0, 1)
+    lo_n = maximize_ball_theory(SpikeSpec.custom(mono.value, mono.d1, mono.d2), 1.0)
+    lo_c = maximize_ball_theory(mono, 1.0)
     assert lo_n.alpha_hat == pytest.approx(lo_c.alpha_hat, abs=1e-7)
     assert lo_n.r_hat == pytest.approx(lo_c.r_hat, abs=1e-7)
     assert lo_n.value == pytest.approx(lo_c.value, abs=1e-10)
@@ -478,7 +478,7 @@ def test_ball_numeric_path_non_monomial_spike():
         lambda x: 0.8 * x + 0.3 * x**3, lambda x: 0.8 + 0.9 * x**2, lambda x: 1.8 * x
     )
     g = RadialSpec.tap(1.0)
-    a0, r0, _ = grid_max_B_tilde(f, g, 1.0)
+    a0, r0, _ = grid_max_B_tilde(f, 1.0)
 
     def grad(p):
         a, r = p
@@ -489,19 +489,13 @@ def test_ball_numeric_path_non_monomial_spike():
         ]
 
     a_ref, r_ref = optimize.root(grad, [a0, r0], tol=1e-14).x
-    v_ref = float(evaluate_B_tilde(a_ref, r_ref, 1.0, f, g))
+    v_ref = float(evaluate_B_tilde(a_ref, r_ref, 1.0, f))
     assert v_ref == pytest.approx(0.7160533008525573, abs=1e-12)
-    lo = maximize_ball_theory(f, g, 1.0)
+    lo = maximize_ball_theory(f, 1.0)
     assert lo.applicable and lo.multiplicity == "single"
     assert lo.value == pytest.approx(v_ref, abs=1e-12)
     assert lo.alpha_hat == pytest.approx(a_ref, abs=1e-7)
     assert lo.r_hat == pytest.approx(r_ref, abs=1e-7)
-
-
-def test_ball_rejects_mismatched_beta():
-    g = RadialSpec.tap(1.0)
-    with pytest.raises(ValueError):
-        maximize_ball_theory(SpikeSpec.monomial(1.0, 1), g, 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -610,16 +604,14 @@ def test_linear_spike_residual_matrix_collapses():
 def test_inapplicable_regime_raises():
     with pytest.raises(InapplicableRegimeError):
         fluct_params_sphere(SpikeSpec.monomial(1.0, 3), 1.0)
-    g = RadialSpec.tap(1.0)
     with pytest.raises(InapplicableRegimeError):
-        fluct_params_ball(SpikeSpec.monomial(0.4, 2), g, 1.0)
+        fluct_params_ball(SpikeSpec.monomial(0.4, 2), 1.0)
     with pytest.raises(InapplicableRegimeError):
         corollary_constants(2, 1.0, 2.0)
 
 
 def test_ball_fluct_params_linear_frozen():
-    g = RadialSpec.tap(1.0)
-    fp = fluct_params_ball(SpikeSpec.monomial(1.0, 1), g, 1.0)
+    fp = fluct_params_ball(SpikeSpec.monomial(1.0, 1), 1.0)
     # kappa = beta r^2 a^2 / z^2 with r^2 = 1/2, a^2 = 1/2, z^2 = 1
     assert fp.kappa == pytest.approx(0.25, abs=1e-12)
     # the ww correction collapses on the first coordinate here as well
@@ -653,8 +645,8 @@ def test_generic_minimax_reproduces_sphere_closed_forms():
 def test_generic_minimax_K_factorization_on_ball():
     f = SpikeSpec.monomial(1.0, 2)
     g = RadialSpec.tap(1.0)
-    lo = maximize_ball_theory(f, g, 1.0)
-    fp = fluct_params_ball(f, g, 1.0, lo)
+    lo = maximize_ball_theory(f, 1.0)
+    fp = fluct_params_ball(f, 1.0, lo)
     a, r, z = lo.alpha_hat, lo.r_hat, lo.z_hat
     pref = 2 * r * a / z**2
     K_pred = pref * np.array([[2 * r / z**2, r * a**4 / z**3], [a, 0.0]])
@@ -728,8 +720,7 @@ def test_second_order_coefficient_against_numeric_expansion():
 def test_second_order_coefficient_independent_of_the_expansion(k, h, beta, ball):
     # the same experiment where no closed form exists: the ball, and a cubic
     # spike on the sphere; the reference shares no code with the saddle path
-    g = RadialSpec.tap(beta) if ball else None
-    c2, pred_resid, pred_display = second_order_predictions(SpikeSpec.monomial(h, k), beta, g)
+    c2, pred_resid, pred_display = second_order_predictions(SpikeSpec.monomial(h, k), beta, ball)
     assert c2 == pytest.approx(pred_resid, abs=5e-6)
     assert abs(c2 - pred_display) > 1e-2
 
