@@ -38,7 +38,6 @@ from .fluctuation_lab import compute_statistics
 from .reduction_solver import oracle_direct, solve_sphere
 from .rmt_core import linear_stat_clt, sample_goe, sample_spectral_model
 from .theory_engine import (
-    RadialSpec,
     SpikeSpec,
     ball_saddle,
     corollary_constants,
@@ -134,7 +133,6 @@ def _gate_trials(model: str, beta: float, n: int, trials: int, seed_base: int) -
     config = ExperimentConfig(
         model=model, n=n, trials=trials, master_seed=seed_base, beta=beta,
         spike=SpikeSpec.monomial(1.0, 1), parallelism=2,
-        radial=RadialSpec.tap(beta) if model == "ball" else None,
     )
     (lead, params, _), results = run_trials(config, range(seed_base, seed_base + trials))
     return lead, params, [rec for rec, _ in results]
@@ -335,7 +333,7 @@ def check_phase_boundaries(tol: float = 1e-8, bracket: float = 0.01) -> CheckRes
         h_c = tap_threshold(k, 1.0)
         for h, applicable in ((h_c * (1 + bracket), True), (h_c * (1 - bracket), False)):
             mono = SpikeSpec.monomial(h, k)
-            for spike in (mono, SpikeSpec.custom(mono.value, mono.d1, mono.d2)):
+            for spike in (mono, SpikeSpec.polynomial(mono.coeffs)):
                 brackets_ok = brackets_ok and (
                     maximize_ball_theory(spike, 1.0).applicable == applicable
                 )
@@ -393,7 +391,6 @@ def _handle_theory(args) -> int:
             master_seed=0,
             beta=args.beta,
             spike=args.spike,
-            radial=RadialSpec.tap(args.beta) if args.ball else None,
         )
     except ValueError as err:
         return _reject("theory", err)
@@ -449,7 +446,6 @@ def _handle_simulate(args) -> int:
                 master_seed=args.seed,
                 beta=args.beta,
                 spike=args.spike,
-                radial=RadialSpec.tap(args.beta) if args.model == "ball" else None,
                 output_path=args.output,
                 output_format=args.format,
                 parallelism=args.parallelism,

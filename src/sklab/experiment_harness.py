@@ -97,9 +97,11 @@ def derive_seed(master: int, trial_index: int) -> int:
 class ExperimentConfig:
     """Declarative description of a Monte Carlo campaign.
 
-    Only monomial spikes are allowed here: they serialize losslessly and
-    pickle into worker processes.  A ball campaign carries the TAP radial
-    term of its own ``beta``, which the config and sidecar formats record.
+    Only monomial spikes are allowed here, because the config format
+    (``{"kind": "monomial", ...}``) spells no other spike.  ``radial`` is
+    derived: the TAP radial term of the campaign's own ``beta`` for the
+    ball, None for the sphere.  The config and sidecar formats still record
+    it, so an explicit value is accepted when it equals the derived one.
     """
 
     model: Literal["sphere", "ball"]
@@ -125,9 +127,12 @@ class ExperimentConfig:
             raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.spike.kind != "monomial":
             raise ValueError("campaign configs support monomial spikes only")
-        if self.model == "ball" and self.radial is None:
-            raise ValueError("ball campaigns need a radial term")
-        if self.radial is not None and self.radial.beta != self.beta:
+        derived = RadialSpec.tap(self.beta) if self.model == "ball" else None
+        if self.radial is None:
+            self.radial = derived
+        elif derived is None:
+            raise ValueError("sphere campaigns take no radial term")
+        elif self.radial != derived:
             raise ValueError(
                 f"radial term was built for beta={self.radial.beta}, "
                 f"but the campaign's beta is {self.beta}"
@@ -157,16 +162,17 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        _require_object(data, "config")
         version = data.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(
                 f"unsupported config schema version {version!r} (expected {SCHEMA_VERSION})"
             )
-        spike_d = _required(data, "spike")
+        spike_d = _require_object(_required(data, "spike"), "spike")
         if spike_d.get("kind") != "monomial":
             raise ValueError("campaign configs support monomial spikes only")
         radial_d = data.get("radial")
-        if radial_d is not None and radial_d.get("kind") != "tap":
+        if radial_d is not None and _require_object(radial_d, "radial").get("kind") != "tap":
             raise ValueError("campaign configs support the tap radial term only")
         return cls(
             model=_required(data, "model"),
@@ -186,6 +192,13 @@ class ExperimentConfig:
             parallelism=int(data.get("parallelism", 1)),
             sampling_mode=data.get("sampling_mode", "invariance"),
         )
+
+
+def _require_object(value, name: str) -> dict:
+    """``value`` if it is a JSON object; anything else is a ``ValueError``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _required(data: dict, key: str, prefix: str = ""):
@@ -361,7 +374,7 @@ def _run_trial(
             sol = solve_sphere(sample, config.beta, config.spike)
             r_star = None
         else:
-            lo, hi = RadialSpec.tap(config.beta).domain
+            lo, hi = config.radial.domain
             # the endpoints of the Plefka interval are open
             sol = solve_ball(sample, config.beta, config.spike, (lo + 1e-9, hi - 1e-9))
             r_star = sol.r_star

@@ -8,14 +8,15 @@ The n-to-infinity ground state per site converges to
 where ``f`` is the spike profile and ``g`` the TAP radial term
 ``log(1-r^2)/2 + (beta^2/2)(1-r^2)^2`` on Plefka's interval, fixed by
 ``beta`` alone (:class:`RadialSpec`).  This module locates the maximizers —
-in closed form for monomial spikes, numerically otherwise — exposes the
-phase-transition couplings, and evaluates every constant appearing in the
-second-order (Gaussian fluctuation) description: the coupling ``kappa`` of
-the leading Gaussian, the quadratic matrix ``G`` and the limit laws of the
-resolvent-type statistics.  Both models take ``kappa``, ``G`` and ``w`` from
-their saddle partials (``sphere_saddle``, ``ball_saddle``) through one
-generic minimax expansion (``generic_minimax_params``).  The literal closed
-forms of ``corollary_constants`` (sphere, degrees 1 and 2) are kept as the
+in closed form for monomial spikes, numerically for other polynomials —
+exposes the phase-transition couplings, and evaluates every constant
+appearing in the second-order (Gaussian fluctuation) description: the
+coupling ``kappa`` of the leading Gaussian, the quadratic matrix ``G`` and
+the limit laws of the resolvent-type statistics.  Both models take
+``kappa``, ``G`` and ``w`` from their saddle partials (``sphere_saddle``,
+``ball_saddle``) through one generic minimax expansion
+(``generic_minimax_params``).  The literal closed forms of
+``corollary_constants`` (sphere, degrees 1 and 2) are kept as the
 independent reference for that expansion.
 
 Geometry shorthand used throughout, for a maximizer overlap ``a``::
@@ -30,9 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Literal
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 
 from .rmt_core import SQRT2, PoleError
 
@@ -71,41 +73,19 @@ class InapplicableRegimeError(RuntimeError):
 # Spike profile and TAP radial term
 
 
-def _vectorize_if_needed(fn: Callable) -> Callable:
-    try:
-        probe = fn(np.array([0.1, 0.2]))
-        if np.shape(probe) == (2,):
-            return fn
-    except Exception:
-        pass
-    return np.vectorize(fn, otypes=[float])
-
-
-def _check_derivative(fn, dfn, x: float, name: str) -> None:
-    h = 1e-3
-    fd = (8.0 * (fn(x + h) - fn(x - h)) - (fn(x + 2 * h) - fn(x - 2 * h))) / (12.0 * h)
-    got = float(dfn(x))
-    if abs(got - fd) > 1e-5 * max(1.0, abs(fd)):
-        raise ValueError(f"{name} inconsistent with finite differences at x={x}: "
-                         f"{got} vs {fd}")
-
-
 @dataclass
 class SpikeSpec:
-    """Spike profile ``f`` with derivatives through second order.
+    """Spike profile ``f``, a polynomial given by its coefficients.
 
-    Use ``SpikeSpec.monomial(h, k)`` for ``f(x) = h x^k`` or
-    ``SpikeSpec.custom(f, d1, d2)`` with array-compatible callables.
-    Custom derivatives are finite-difference-checked at construction so a
-    mistyped derivative fails fast rather than corrupting downstream constants.
+    ``coeffs`` lists them in ascending powers.  ``SpikeSpec.monomial(h, k)``
+    builds ``f(x) = h x^k``, which the limit theory solves in closed form;
+    ``SpikeSpec.polynomial(coeffs)`` builds any polynomial, which always
+    takes the numeric limit paths.  Derivatives are exact, and a spike is
+    plain numbers, so it pickles and serializes.
     """
 
-    kind: Literal["monomial", "custom"]
-    h: float | None = None
-    k: int | None = None
-    _f: Callable | None = None
-    _d1: Callable | None = None
-    _d2: Callable | None = None
+    kind: Literal["monomial", "polynomial"]
+    coeffs: tuple[float, ...]
 
     @classmethod
     def monomial(cls, h: float, k: int) -> "SpikeSpec":
@@ -113,46 +93,50 @@ class SpikeSpec:
             raise ValueError(f"monomial degree must be a positive integer, got {k}")
         if not math.isfinite(h):
             raise ValueError(f"monomial coefficient must be finite, got {h}")
-        return cls(kind="monomial", h=float(h), k=int(k))
+        return cls(kind="monomial", coeffs=(0.0,) * int(k) + (float(h),))
 
     @classmethod
-    def custom(cls, f: Callable, d1: Callable, d2: Callable) -> "SpikeSpec":
-        for x in (-0.57, 0.11, 0.73):
-            _check_derivative(f, d1, x, "d1")
-            _check_derivative(d1, d2, x, "d2")
-        return cls(
-            kind="custom",
-            _f=_vectorize_if_needed(f),
-            _d1=_vectorize_if_needed(d1),
-            _d2=_vectorize_if_needed(d2),
-        )
+    def polynomial(cls, coeffs) -> "SpikeSpec":
+        coeffs = tuple(float(c) for c in coeffs)
+        if not coeffs or not all(math.isfinite(c) for c in coeffs):
+            raise ValueError(f"polynomial coefficients must be finite and non-empty, "
+                             f"got {list(coeffs)}")
+        return cls(kind="polynomial", coeffs=coeffs)
+
+    @property
+    def h(self) -> float:
+        return self.coeffs[-1]
+
+    @property
+    def k(self) -> int:
+        return len(self.coeffs) - 1
 
     def value(self, x):
         if self.kind == "monomial":
             return self.h * np.power(x, self.k)
-        return self._f(x)
+        return P.polyval(x, self.coeffs)
 
     def d1(self, x):
         if self.kind == "monomial":
             return self.h * self.k * np.power(x, self.k - 1)
-        return self._d1(x)
+        return P.polyval(x, P.polyder(self.coeffs))
 
     def d2(self, x):
         if self.kind == "monomial":
             if self.k == 1:
                 return np.zeros_like(np.asarray(x, dtype=float)) + 0.0
             return self.h * self.k * (self.k - 1) * np.power(x, self.k - 2)
-        return self._d2(x)
+        return P.polyval(x, P.polyder(self.coeffs, 2))
 
     def label(self) -> str:
         if self.kind == "monomial":
             return f"monomial:{self.k}:{self.h:g}"
-        return "custom"
+        return "polynomial:" + ":".join(f"{c:g}" for c in self.coeffs)
 
     def to_dict(self) -> dict:
         if self.kind == "monomial":
             return {"kind": "monomial", "h": self.h, "k": self.k}
-        return {"kind": "custom"}
+        return {"kind": "polynomial", "coeffs": list(self.coeffs)}
 
 
 @dataclass
@@ -710,11 +694,11 @@ def maximize_ball_theory(f: SpikeSpec, beta: float) -> LeadingOrder:
     """Global maximizer of the limiting radial functional, the TAP free energy at ``beta``.
 
     Closed-form dispatch for monomial spikes (scalar root-finding per degree,
-    with the ``tap_threshold`` phase check).  Custom spikes take the numeric
-    path: a 201-point overlap grid, each point maximized over the radius by
-    :func:`radial_search`, refined by golden-section search and Newton polish;
-    it never calls ``tap_threshold``.  Boundary or zero-overlap maximizers are
-    returned flagged.
+    with the ``tap_threshold`` phase check).  Other polynomial spikes take the
+    numeric path: a 201-point overlap grid, each point maximized over the
+    radius by :func:`radial_search`, refined by golden-section search and
+    Newton polish; it never calls ``tap_threshold``.  Boundary or zero-overlap
+    maximizers are returned flagged.
     """
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")

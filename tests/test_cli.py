@@ -143,6 +143,22 @@ class TestSimulateCommand:
         },
         "incomplete.json": {"schema_version": 1,
                             "spike": {"kind": "monomial", "h": 1.0, "k": 1}},
+        # JSON values where the format wants objects
+        "string_spike.json": {
+            "schema_version": 1, "model": "sphere", "n": 40, "trials": 2, "master_seed": 1,
+            "beta": 1.0, "spike": "monomial:1:1",
+        },
+        "array.json": [1, 2],
+        "number_radial.json": {
+            "schema_version": 1, "model": "ball", "n": 40, "trials": 2, "master_seed": 1,
+            "beta": 1.0, "spike": {"kind": "monomial", "h": 1.0, "k": 1}, "radial": 1,
+        },
+        # the sphere has no radial term
+        "sphere_radial.json": {
+            "schema_version": 1, "model": "sphere", "n": 40, "trials": 2, "master_seed": 1,
+            "beta": 1.0, "spike": {"kind": "monomial", "h": 1.0, "k": 1},
+            "radial": {"kind": "tap", "beta": 1.0},
+        },
     }
 
     @pytest.mark.parametrize("flags", [
@@ -151,6 +167,10 @@ class TestSimulateCommand:
         ["--config", "mismatched.json"],
         ["--config", "incomplete.json"],
         ["--model", "ball", "--beta", "inf"],
+        ["--config", "string_spike.json"],
+        ["--config", "array.json"],
+        ["--config", "number_radial.json"],
+        ["--config", "sphere_radial.json"],
     ])
     def test_out_of_range_input_rejected(self, capsys, monkeypatch, tmp_path, flags):
         monkeypatch.chdir(tmp_path)

@@ -92,21 +92,30 @@ class TestConfig:
             sphere_config(n=1)
         with pytest.raises(ValueError, match="trials"):
             sphere_config(trials=0)
-        with pytest.raises(ValueError, match="radial"):
-            sphere_config(model="ball")
         with pytest.raises(ValueError, match="radial term was built for beta=2.0"):
             sphere_config(model="ball", radial=RadialSpec.tap(2.0))
+        with pytest.raises(ValueError, match="sphere campaigns take no radial term"):
+            sphere_config(radial=RadialSpec.tap(1.0))
+        for data in ([1, 2], {**sphere_config().to_dict(), "spike": "monomial:1:1"},
+                     {**sphere_config().to_dict(), "radial": 1}):
+            with pytest.raises(ValueError, match="must be a JSON object"):
+                ExperimentConfig.from_dict(data)
         for beta in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="beta must be positive and finite"):
                 sphere_config(beta=beta)
         with pytest.raises(ValueError, match="model"):
             sphere_config(model="torus")
         with pytest.raises(ValueError, match="monomial"):
-            sphere_config(
-                spike=SpikeSpec.custom(
-                    lambda x: x, lambda x: 1.0 + 0 * x, lambda x: 0 * x
-                )
-            )
+            sphere_config(spike=SpikeSpec.polynomial([0, 1]))
+
+    def test_radial_term_is_derived(self):
+        assert sphere_config().radial is None
+        ball = sphere_config(model="ball", beta=1.5)
+        assert ball.radial == RadialSpec.tap(1.5)
+        assert sphere_config(model="ball", beta=1.5, radial=RadialSpec.tap(1.5)) == ball
+        doc = ball.to_dict()
+        del doc["radial"]
+        assert ExperimentConfig.from_dict(doc) == ball
 
     def test_unknown_output_format_rejected_before_running(self, tmp_path):
         out = str(tmp_path / "out")
@@ -246,8 +255,7 @@ class TestRunTrials:
 
     @staticmethod
     def config(model: str, parallelism: int) -> ExperimentConfig:
-        radial = RadialSpec.tap(1.0) if model == "ball" else None
-        return sphere_config(model=model, n=40, radial=radial, parallelism=parallelism)
+        return sphere_config(model=model, n=40, parallelism=parallelism)
 
     @pytest.mark.parametrize("model", ["sphere", "ball"])
     def test_seeds_pass_through_verbatim(self, model):
@@ -274,6 +282,13 @@ class TestRunTrials:
         _, serial = harness.run_trials(self.config(model, 1), self.SEEDS)
         _, pooled = harness.run_trials(self.config(model, 2), self.SEEDS)
         assert strip(serial) == strip(pooled)
+
+
+def test_pool_carries_polynomial_spikes():
+    # a spike is plain numbers, so it pickles into the workers
+    spikes = [SpikeSpec.polynomial([0, 0.8, 0, 0.3]), SpikeSpec.polynomial([0, 1])]
+    serial = [maximize_ball_theory(f, 1.0) for f in spikes]
+    assert harness.pool_map(2, maximize_ball_theory, spikes, [1.0, 1.0]) == serial
 
 
 def openblas_threads() -> list[int]:

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -161,21 +162,43 @@ def test_monomial_rejects_bad_degree():
         SpikeSpec.monomial(math.nan, 2)
 
 
-def test_custom_spike_derivative_check():
-    ok = SpikeSpec.custom(np.sin, np.cos, lambda x: -np.sin(x))
-    assert ok.value(0.3) == pytest.approx(math.sin(0.3))
-    with pytest.raises(ValueError):
-        SpikeSpec.custom(np.sin, np.sin, np.cos)
+@pytest.mark.parametrize(
+    "coeffs, value, d1, d2",
+    [
+        ([1.5], lambda x: 1.5 + 0 * x, lambda x: 0 * x, lambda x: 0 * x),
+        ([0.2, 0.7], lambda x: 0.2 + 0.7 * x, lambda x: 0.7 + 0 * x, lambda x: 0 * x),
+        (
+            [0.0, 0.8, 0.0, 0.3],
+            lambda x: 0.8 * x + 0.3 * x**3,
+            lambda x: 0.8 + 0.9 * x**2,
+            lambda x: 1.8 * x,
+        ),
+    ],
+)
+def test_polynomial_derivatives_are_exact(coeffs, value, d1, d2):
+    f = SpikeSpec.polynomial(coeffs)
+    x = np.array([[-0.4, 0.2], [0.9, 1.0]])
+    for got, want in ((f.value, value), (f.d1, d1), (f.d2, d2)):
+        assert np.shape(got(x)) == x.shape
+        np.testing.assert_allclose(got(x), want(x), rtol=1e-15, atol=1e-15)
+        assert float(got(0.3)) == pytest.approx(want(0.3), rel=1e-15, abs=1e-15)
 
 
-def test_custom_spike_scalar_only_callable_is_wrapped():
-    f = SpikeSpec.custom(
-        lambda x: math.sin(x),
-        lambda x: math.cos(x),
-        lambda x: -math.sin(x),
-    )
-    out = f.value(np.array([0.1, 0.2]))
-    assert out == pytest.approx(np.sin([0.1, 0.2]))
+def test_polynomial_rejects_bad_coefficients():
+    for coeffs in ([], [0.0, math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="polynomial coefficients"):
+            SpikeSpec.polynomial(coeffs)
+
+
+def test_spikes_serialize_their_coefficients():
+    mono = SpikeSpec.monomial(1.5, 2)
+    assert mono.coeffs == (0.0, 0.0, 1.5) and (mono.h, mono.k) == (1.5, 2)
+    assert mono.to_dict() == {"kind": "monomial", "h": 1.5, "k": 2}
+    cubic = SpikeSpec.polynomial([0, 0.8, 0, 0.3])
+    assert cubic.to_dict() == {"kind": "polynomial", "coeffs": [0.0, 0.8, 0.0, 0.3]}
+    assert cubic.label() == "polynomial:0:0.8:0:0.3"
+    for spike in (mono, cubic):
+        assert pickle.loads(pickle.dumps(spike)) == spike
 
 
 def test_tap_profile_values():
@@ -317,13 +340,8 @@ def test_beta_tilde_kills_interior_point():
     assert at.alpha_hat == 0.0
 
 
-def test_custom_spike_matches_monomial_path():
-    fc = SpikeSpec.custom(
-        lambda x: 0.7 * np.asarray(x, dtype=float),
-        lambda x: 0.7 * np.ones_like(np.asarray(x, dtype=float)),
-        lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-    )
-    lo_c = maximize_sphere_theory(fc, 1.0)
+def test_polynomial_spike_matches_monomial_path():
+    lo_c = maximize_sphere_theory(SpikeSpec.polynomial([0, 0.7]), 1.0)
     lo_m = maximize_sphere_theory(SpikeSpec.monomial(0.7, 1), 1.0)
     assert lo_c.alpha_hat == pytest.approx(lo_m.alpha_hat, abs=1e-9)
     assert lo_c.value == pytest.approx(lo_m.value, abs=1e-12)
@@ -428,7 +446,7 @@ def test_tap_threshold_brackets_phase_change():
             hc = tap_threshold(k, b)
             for h, applicable in ((hc * 0.99, False), (hc * 1.01, True)):
                 mono = SpikeSpec.monomial(h, k)
-                for spike in (mono, SpikeSpec.custom(mono.value, mono.d1, mono.d2)):
+                for spike in (mono, SpikeSpec.polynomial(mono.coeffs)):
                     lead = maximize_ball_theory(spike, b)
                     assert lead.applicable == applicable
                     if applicable:
@@ -462,9 +480,9 @@ def test_ball_theory_at_plefka_corner_never_below_boundary():
 
 
 def test_ball_numeric_path_matches_closed_form():
-    # a custom copy of the monomial spike forces the numeric path
+    # a polynomial copy of the monomial spike forces the numeric path
     mono = SpikeSpec.monomial(1.0, 1)
-    lo_n = maximize_ball_theory(SpikeSpec.custom(mono.value, mono.d1, mono.d2), 1.0)
+    lo_n = maximize_ball_theory(SpikeSpec.polynomial([0, 1]), 1.0)
     lo_c = maximize_ball_theory(mono, 1.0)
     assert lo_n.alpha_hat == pytest.approx(lo_c.alpha_hat, abs=1e-7)
     assert lo_n.r_hat == pytest.approx(lo_c.r_hat, abs=1e-7)
@@ -474,9 +492,7 @@ def test_ball_numeric_path_matches_closed_form():
 def test_ball_numeric_path_non_monomial_spike():
     # a cubic spike reaches the generic radial search; the reference is a
     # dense (alpha, r) grid polished by a root solve of the gradient
-    f = SpikeSpec.custom(
-        lambda x: 0.8 * x + 0.3 * x**3, lambda x: 0.8 + 0.9 * x**2, lambda x: 1.8 * x
-    )
+    f = SpikeSpec.polynomial([0, 0.8, 0, 0.3])
     g = RadialSpec.tap(1.0)
     a0, r0, _ = grid_max_B_tilde(f, 1.0)
 
