@@ -40,6 +40,7 @@ from .rmt_core import linear_stat_clt, sample_goe, sample_spectral_model
 from .theory_engine import (
     SpikeSpec,
     ball_saddle,
+    check_degree,
     corollary_constants,
     critical_betas,
     evaluate_B,
@@ -82,7 +83,7 @@ class CheckResult:
 def _oracle_gap(n: int, beta: float, coeff: float, seed: int) -> float:
     """Per-site gap between the reduced solver and the direct ascent on one draw."""
     spike = SpikeSpec.monomial(coeff, 1)
-    sample = sample_spectral_model(n, seed=seed, mode="invariance")
+    sample = sample_spectral_model(n, seed=seed)
     sol = solve_sphere(sample, beta, spike)
     return abs(sol.value - oracle_direct(sample, beta, spike)) / n
 
@@ -108,7 +109,7 @@ def check_oracle_equivalence(
 
 def check_clt_quadrature(draws: int = 10_000, n: int = 200) -> CheckResult:
     """Quadrature values of the linear-statistic CLT vs a trace Monte Carlo."""
-    mean, var = linear_stat_clt(lambda x: x)
+    mean, var = linear_stat_clt(lambda x: x, lambda x: 1.0)
     exact_ok = abs(mean) <= 1e-8 and abs(var - 1.0) <= 1e-8
     traces = np.empty(draws)
     for i in range(draws):
@@ -178,8 +179,8 @@ def check_first_order_clt(
 
 
 def _trace_error(n: int, l: float, seed: int) -> float:
-    """The trace-error statistic of one invariance-mode draw at the point ``l``."""
-    sample = sample_spectral_model(n, seed=seed, mode="invariance")
+    """The trace-error statistic of one sampled draw at the point ``l``."""
+    sample = sample_spectral_model(n, seed=seed)
     return compute_statistics(sample, l).Lambda
 
 
@@ -476,8 +477,10 @@ def _handle_phase(args) -> int:
     beta_flags = (args.beta_min, args.beta_max, args.beta_steps)
     if any(v is not None for v in beta_flags) and any(v is None for v in beta_flags):
         return _reject("phase", "--beta-min/--beta-max/--beta-steps must be given together")
-    if args.k < 1:
-        return _reject("phase", f"--k must be a positive integer, got {args.k}")
+    try:
+        check_degree(args.k)
+    except ValueError as err:
+        return _reject("phase", err)
     bounds = (args.h_min, args.h_max, args.beta_min, args.beta_max)
     if not all(math.isfinite(v) for v in bounds if v is not None):
         return _reject("phase", "grid bounds must be finite")

@@ -102,6 +102,8 @@ class ExperimentConfig:
     derived: the TAP radial term of the campaign's own ``beta`` for the
     ball, None for the sphere.  The config and sidecar formats still record
     it, so an explicit value is accepted when it equals the derived one.
+    The format also records ``"sampling_mode": "invariance"``, the one
+    sampler; ``from_dict`` rejects any other value.
     """
 
     model: Literal["sphere", "ball"]
@@ -114,7 +116,6 @@ class ExperimentConfig:
     output_path: str | None = None
     output_format: Literal["csv", "json"] = "csv"
     parallelism: int = 1
-    sampling_mode: Literal["invariance", "rotate"] = "invariance"
 
     def __post_init__(self) -> None:
         if self.model not in ("sphere", "ball"):
@@ -139,8 +140,6 @@ class ExperimentConfig:
             )
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-        if self.sampling_mode not in ("invariance", "rotate"):
-            raise ValueError(f"unknown sampling mode {self.sampling_mode!r}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -157,7 +156,7 @@ class ExperimentConfig:
             "output_path": self.output_path,
             "output_format": self.output_format,
             "parallelism": self.parallelism,
-            "sampling_mode": self.sampling_mode,
+            "sampling_mode": "invariance",
         }
 
     @classmethod
@@ -174,23 +173,25 @@ class ExperimentConfig:
         radial_d = data.get("radial")
         if radial_d is not None and _require_object(radial_d, "radial").get("kind") != "tap":
             raise ValueError("campaign configs support the tap radial term only")
+        mode = data.get("sampling_mode", "invariance")
+        if mode != "invariance":
+            raise ValueError(f"unknown sampling mode {mode!r}")
         return cls(
             model=_required(data, "model"),
-            n=int(_required(data, "n")),
-            trials=int(_required(data, "trials")),
-            master_seed=int(_required(data, "master_seed")),
-            beta=float(_required(data, "beta")),
+            n=_required(data, "n", kind=int),
+            trials=_required(data, "trials", kind=int),
+            master_seed=_required(data, "master_seed", kind=int),
+            beta=_required(data, "beta", kind=float),
             spike=SpikeSpec.monomial(
-                _required(spike_d, "h", "spike."), _required(spike_d, "k", "spike.")
+                _required(spike_d, "h", "spike.", float), _required(spike_d, "k", "spike.", int)
             ),
             radial=(
                 None if radial_d is None
-                else RadialSpec.tap(_required(radial_d, "beta", "radial."))
+                else RadialSpec.tap(_required(radial_d, "beta", "radial.", float))
             ),
             output_path=data.get("output_path"),
             output_format=data.get("output_format", "csv"),
-            parallelism=int(data.get("parallelism", 1)),
-            sampling_mode=data.get("sampling_mode", "invariance"),
+            parallelism=_number(data.get("parallelism", 1), "parallelism", int),
         )
 
 
@@ -201,11 +202,26 @@ def _require_object(value, name: str) -> dict:
     return value
 
 
-def _required(data: dict, key: str, prefix: str = ""):
-    """``data[key]``; a missing key is a ``ValueError`` naming it."""
+def _required(data: dict, key: str, prefix: str = "", kind: type | None = None):
+    """``data[key]``, through :func:`_number` when ``kind`` is given.
+
+    A missing key is a ``ValueError`` naming it.
+    """
     if key not in data:
         raise ValueError(f"config is missing {prefix + key!r}")
-    return data[key]
+    return data[key] if kind is None else _number(data[key], prefix + key, kind)
+
+
+def _number(value, name: str, kind: type):
+    """``value`` as ``kind``: a JSON integer for ``int``, any JSON number for ``float``.
+
+    Anything else, a bool included, is a ``ValueError`` naming the key.
+    """
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        what = "an integer" if kind is int else "a number"
+        raise ValueError(f"config {name!r} must be {what}, got {value!r}")
+    return kind(value)
 
 
 def save_config(config: ExperimentConfig, path: str) -> None:
@@ -369,7 +385,7 @@ def _run_trial(
         return (time.perf_counter() - start) * 1e3
 
     try:
-        sample = sample_spectral_model(config.n, seed=seed, mode=config.sampling_mode)
+        sample = sample_spectral_model(config.n, seed=seed)
         if config.model == "sphere":
             sol = solve_sphere(sample, config.beta, config.spike)
             r_star = None

@@ -51,11 +51,7 @@ POLE_MARGIN = 1e-10
 
 @dataclass
 class FluctuationSample:
-    """Statistics of one sample evaluated at one resolvent point.
-
-    ``X``/``Xprime``/``Y`` are only available when the sample carries its raw
-    gaussians (spectral sampling in invariance mode); otherwise they are None.
-    """
+    """Statistics of one sample evaluated at one resolvent point."""
 
     n: int
     U: float
@@ -63,9 +59,9 @@ class FluctuationSample:
     Lambda: float
     W: float
     Wprime: float
-    X: float | None = None
-    Xprime: float | None = None
-    Y: float | None = None
+    X: float
+    Xprime: float
+    Y: float
 
 
 def compute_statistics(sample: GoeSample, l: float) -> FluctuationSample:
@@ -96,14 +92,11 @@ def compute_statistics(sample: GoeSample, l: float) -> FluctuationSample:
     w_stat = float(resolvent_moment(theta, centered, l)) / root_n
     wp_stat = -float(resolvent_moment(theta, centered, l, 2)) / root_n
 
-    x = xp = y = None
-    if sample.raw_gaussians is not None:
-        raw_centered = sample.raw_gaussians**2 - 1.0
-        s1 = semicircle_transform(l, order=1)
-        raw_sum = float(np.sum(raw_centered))
-        x = (float(resolvent_moment(theta, raw_centered, l)) - s0 * raw_sum) / root_n
-        xp = (-float(resolvent_moment(theta, raw_centered, l, 2)) - s1 * raw_sum) / root_n
-        y = raw_sum / root_n
+    raw_centered = sample.raw_gaussians**2 - 1.0
+    s1 = semicircle_transform(l, order=1)
+    raw_sum = float(np.sum(raw_centered))
+    x = (float(resolvent_moment(theta, raw_centered, l)) - s0 * raw_sum) / root_n
+    xp = (-float(resolvent_moment(theta, raw_centered, l, 2)) - s1 * raw_sum) / root_n
 
     return FluctuationSample(
         n=n,
@@ -114,7 +107,7 @@ def compute_statistics(sample: GoeSample, l: float) -> FluctuationSample:
         Wprime=wp_stat,
         X=x,
         Xprime=xp,
-        Y=y,
+        Y=raw_sum / root_n,
     )
 
 
@@ -179,12 +172,8 @@ def alt_residual_sphere(
 
     Uses the raw-gaussian statistics (X, X', Y) in place of (U, U'): the
     change of weights introduces the extra order-one cross term
-    ``kappa X Y``.  Requires a sample carrying raw gaussians.
+    ``kappa X Y``.
     """
-    if stats.X is None or stats.Xprime is None or stats.Y is None:
-        raise ValueError(
-            "independent-summand statistics unavailable: sample carries no raw gaussians"
-        )
     swapped = replace(stats, U=stats.X, Uprime=stats.Xprime)
     return (
         _second_order_residual(value, swapped, leading, params)
@@ -215,6 +204,7 @@ def aggregate(
     arr = lambda name: np.array([getattr(s, name) for s in samples], dtype=float)
     u, up, lam = arr("U"), arr("Uprime"), arr("Lambda")
     w, wp = arr("W"), arr("Wprime")
+    x, xp, y = arr("X"), arr("Xprime"), arr("Y")
     out = {
         "count": len(samples),
         "mean_U": float(u.mean()),
@@ -231,22 +221,15 @@ def aggregate(
         "mean_Wprime": float(wp.mean()),
         "var_Wprime": float(wp.var(ddof=1)),
         "cov_WWprime": float(np.cov(w, wp, ddof=1)[0, 1]),
+        "mean_X": float(x.mean()),
+        "var_X": float(x.var(ddof=1)),
+        "var_Xprime": float(xp.var(ddof=1)),
+        "cov_XXprime": float(np.cov(x, xp, ddof=1)[0, 1]),
+        "mean_Y": float(y.mean()),
+        "var_Y": float(y.var(ddof=1)),
+        "cov_XY": float(np.cov(x, y, ddof=1)[0, 1]),
+        "cov_LambdaY": float(np.cov(lam, y, ddof=1)[0, 1]),
     }
-    have_raw = all(s.X is not None for s in samples)
-    if have_raw:
-        x, xp, y = arr("X"), arr("Xprime"), arr("Y")
-        out.update(
-            {
-                "mean_X": float(x.mean()),
-                "var_X": float(x.var(ddof=1)),
-                "var_Xprime": float(xp.var(ddof=1)),
-                "cov_XXprime": float(np.cov(x, xp, ddof=1)[0, 1]),
-                "mean_Y": float(y.mean()),
-                "var_Y": float(y.var(ddof=1)),
-                "cov_XY": float(np.cov(x, y, ddof=1)[0, 1]),
-                "cov_LambdaY": float(np.cov(lam, y, ddof=1)[0, 1]),
-            }
-        )
     if params is not None:
         out["ks_U"] = _ks_normal(u / math.sqrt(params.var_U))
         out["ks_Uprime"] = _ks_normal(up / math.sqrt(params.var_Uprime))
@@ -255,6 +238,5 @@ def aggregate(
         )
         out["ks_W"] = _ks_normal(w / math.sqrt(params.Sigma[0, 0]))
         out["ks_Wprime"] = _ks_normal(wp / math.sqrt(params.Sigma[1, 1]))
-        if have_raw:
-            out["ks_Y"] = _ks_normal(y / math.sqrt(2.0))
+        out["ks_Y"] = _ks_normal(y / math.sqrt(2.0))
     return out

@@ -15,14 +15,15 @@ Conventions used throughout the package:
   ulp-sized perturbation of exact ties, so downstream weighted transforms
   never see a degenerate atom.
 * ``u`` denotes the coordinates of the planted unit direction in the
-  eigenbasis; only ``u_i^2`` enters the transforms but the signed vector is
-  kept for maximizer recovery.
+  eigenbasis, the normalized spike Gaussians a sample carries; only
+  ``u_i^2`` enters the transforms but the signed vector is kept for
+  maximizer recovery.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Literal
 
@@ -58,29 +59,31 @@ class GoeSample:
         Matrix dimension.
     eigenvalues : ndarray
         Strictly increasing eigenvalues of ``J/sqrt(n)``, shape ``(n,)``.
+    raw_gaussians : ndarray
+        The spike Gaussians, shape ``(n,)``: i.i.d. standard normals in a
+        sampled model.  The independent-summand fluctuation statistics
+        read them.
     u : ndarray
-        Unit vector of overlaps of the spike direction with the eigenbasis,
-        shape ``(n,)``.
-    raw_gaussians : ndarray or None
-        The i.i.d. standard normals whose normalization produced ``u``
-        (``invariance`` mode only); needed by the alternative fluctuation
-        statistics.  ``None`` in ``rotate`` mode.
+        Derived: ``raw_gaussians`` normalized to unit length, the overlaps
+        of the spike direction with the eigenbasis.
     """
 
     n: int
     eigenvalues: np.ndarray
-    u: np.ndarray
-    raw_gaussians: np.ndarray | None = None
+    raw_gaussians: np.ndarray
+    u: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.eigenvalues = np.asarray(self.eigenvalues, dtype=float)
-        self.u = np.asarray(self.u, dtype=float)
-        if self.eigenvalues.shape != (self.n,) or self.u.shape != (self.n,):
-            raise ValueError("eigenvalues and u must both have shape (n,)")
+        self.raw_gaussians = np.asarray(self.raw_gaussians, dtype=float)
+        if self.eigenvalues.shape != (self.n,) or self.raw_gaussians.shape != (self.n,):
+            raise ValueError("eigenvalues and raw_gaussians must both have shape (n,)")
         if np.any(np.diff(self.eigenvalues) <= 0):
             raise ValueError("eigenvalues must be strictly increasing")
-        if abs(self.u @ self.u - 1.0) > 1e-10:
-            raise ValueError("u must have unit norm")
+        norm = math.sqrt(float(self.raw_gaussians @ self.raw_gaussians))
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"raw_gaussians must have a finite nonzero norm, got {norm}")
+        self.u = self.raw_gaussians / norm
 
     @property
     def lambda_max(self) -> float:
@@ -114,41 +117,23 @@ def _break_ties(lam: np.ndarray) -> np.ndarray:
 
 
 def sample_spectral_model(
-    n: int, seed: int, mode: Literal["rotate", "invariance"] = "rotate"
+    n: int, seed: int, mode: Literal["invariance"] = "invariance"
 ) -> GoeSample:
-    """Sample eigenvalues and spike overlaps for the rank-one model.
+    """Sample eigenvalues and spike Gaussians for the rank-one model.
 
-    Parameters
-    ----------
-    n, seed : int
-        Dimension and RNG seed (both fixed determine the sample exactly).
-    mode : {"rotate", "invariance"}
-        ``rotate``: diagonalize ``J/sqrt(n)`` and read the spike overlaps off
-        the eigenvector matrix (``u_i = <q_i, e_1>``).  ``invariance``: keep
-        the eigenvalues but draw ``u`` as an independent normalized i.i.d.
-        Gaussian vector — equal in law by orthogonal invariance, and the raw
-        Gaussians are retained for the alternative fluctuation statistics.
-
-    Returns
-    -------
-    GoeSample
+    The eigenvalues are those of ``J/sqrt(n)``; the spike Gaussians are an
+    independent i.i.d. standard normal vector, whose normalization is equal
+    in law to the overlaps of a fixed direction with the eigenbasis, by
+    orthogonal invariance.  ``(n, seed)`` determines the sample exactly.
+    ``mode`` accepts ``"invariance"`` only.
     """
-    if mode not in ("rotate", "invariance"):
+    if mode != "invariance":
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     a = rng.standard_normal((n, n))
     j = (a + a.T) / (2.0 * math.sqrt(n))
-    if mode == "rotate":
-        lam, q = np.linalg.eigh(j)
-        u = q[0, :].copy()
-        raw = None
-    else:
-        lam = np.linalg.eigvalsh(j)
-        raw = rng.standard_normal(n)
-        u = raw
-    lam = _break_ties(np.sort(lam))
-    u = u / math.sqrt(float(u @ u))
-    return GoeSample(n=n, eigenvalues=lam, u=u, raw_gaussians=raw)
+    lam = _break_ties(np.linalg.eigvalsh(j))
+    return GoeSample(n=n, eigenvalues=lam, raw_gaussians=rng.standard_normal(n))
 
 
 def semicircle_density(x):
@@ -258,8 +243,7 @@ def semicircle_transform(l: float, order: int = 0) -> float:
 
 
 def linear_stat_clt(
-    w: Callable[[float], float],
-    w_prime: Callable[[float], float] | None = None,
+    w: Callable[[float], float], w_prime: Callable[[float], float]
 ) -> tuple[float, float]:
     """Gaussian limit of ``sum_i w(lambda_i) - n * \\int w dmu_sc``.
 
@@ -272,8 +256,7 @@ def linear_stat_clt(
     * variance ``(1/2pi^2) \\iint ((w(x)-w(y))/(x-y))^2
       (2-xy) / (sqrt(2-x^2) sqrt(2-y^2)) dx dy``
 
-    The diagonal of the difference quotient is the derivative ``w'``; supply
-    ``w_prime`` for exact values, otherwise a central difference is used.
+    The diagonal of the difference quotient is the derivative ``w_prime``.
 
     Returns
     -------
@@ -286,12 +269,6 @@ def linear_stat_clt(
     wx = np.array([float(w(xi)) for xi in x])
 
     mean = (float(w(SQRT2)) + float(w(-SQRT2))) / 4.0 - float(om @ wx) / (2.0 * math.pi)
-
-    if w_prime is None:
-
-        def w_prime(t: float, _w=w) -> float:
-            h = 1e-6 * max(1.0, abs(t))
-            return (float(_w(t + h)) - float(_w(t - h))) / (2.0 * h)
 
     dx = x[:, None] - x[None, :]
     dw = wx[:, None] - wx[None, :]

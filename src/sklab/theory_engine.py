@@ -43,10 +43,12 @@ __all__ = [
     "GenericMinimaxInput",
     "InapplicableRegimeError",
     "LeadingOrder",
+    "MAX_DEGREE",
     "MinimaxExpansion",
     "RadialSpec",
     "SpikeSpec",
     "ball_saddle",
+    "check_degree",
     "corollary_constants",
     "critical_betas",
     "evaluate_B",
@@ -72,6 +74,17 @@ class InapplicableRegimeError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Spike profile and TAP radial term
 
+#: largest monomial degree: the degree-k closed forms raise numbers to powers
+#: near k, which divide by zero from about k = 48 and overflow from k = 257
+MAX_DEGREE = 32
+
+
+def check_degree(k) -> int:
+    """``k`` as an int if it is a monomial degree in ``1..MAX_DEGREE``, else ``ValueError``."""
+    if not 1 <= k <= MAX_DEGREE or k != int(k):
+        raise ValueError(f"monomial degree must be an integer in 1..{MAX_DEGREE}, got {k}")
+    return int(k)
+
 
 @dataclass
 class SpikeSpec:
@@ -89,11 +102,10 @@ class SpikeSpec:
 
     @classmethod
     def monomial(cls, h: float, k: int) -> "SpikeSpec":
-        if k < 1 or k != int(k):
-            raise ValueError(f"monomial degree must be a positive integer, got {k}")
+        k = check_degree(k)
         if not math.isfinite(h):
             raise ValueError(f"monomial coefficient must be finite, got {h}")
-        return cls(kind="monomial", coeffs=(0.0,) * int(k) + (float(h),))
+        return cls(kind="monomial", coeffs=(0.0,) * k + (float(h),))
 
     @classmethod
     def polynomial(cls, coeffs) -> "SpikeSpec":
@@ -256,8 +268,7 @@ def critical_betas(k: int, h: float) -> tuple[float, float | None]:
     state is the global maximum; ``beta_tilde_c`` (degree >= 3 only, else
     None) is where the interior critical point itself disappears.
     """
-    if k < 1 or k != int(k):
-        raise ValueError(f"degree must be a positive integer, got {k}")
+    check_degree(k)
     if h <= 0:
         raise ValueError(f"critical couplings require h > 0, got {h}")
     if k == 1:
@@ -473,8 +484,7 @@ def tap_threshold(k: int, beta: float) -> float:
     interval, evaluated on a 2001-point interior grid (margin 1e-6) and
     refined by golden-section search.
     """
-    if k < 1 or k != int(k):
-        raise ValueError(f"degree must be a positive integer, got {k}")
+    check_degree(k)
     if not 0 < beta < math.inf:
         raise ValueError(f"beta must be positive and finite, got {beta}")
     if k == 1:

@@ -51,7 +51,8 @@ class TestParseSpike:
         assert spike.h == 1.5
 
     @pytest.mark.parametrize(
-        "text", ["gaussian:1:1", "monomial:1", "monomial:1:1:1", "monomial:0:1"]
+        "text",
+        ["gaussian:1:1", "monomial:1", "monomial:1:1:1", "monomial:0:1", "monomial:33:1"],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
@@ -160,6 +161,27 @@ class TestSimulateCommand:
             "radial": {"kind": "tap", "beta": 1.0},
         },
     }
+    # JSON values of the wrong type: integers are due for n, trials,
+    # master_seed, parallelism and spike.k, numbers for the betas and spike.h
+    _SPHERE = {"schema_version": 1, "model": "sphere", "n": 40, "trials": 2,
+               "master_seed": 1, "beta": 1.0, "spike": {"kind": "monomial", "h": 1.0, "k": 1}}
+    _BALL = {**_SPHERE, "model": "ball"}
+    WRONG_TYPES = {
+        "float_n.json": {**_SPHERE, "n": 40.9},
+        "float_trials.json": {**_SPHERE, "trials": 2.7},
+        "float_seed.json": {**_SPHERE, "master_seed": 3.2},
+        "bool_parallelism.json": {**_SPHERE, "parallelism": True},
+        "string_beta.json": {**_SPHERE, "beta": "1.0"},
+        "string_h.json": {**_SPHERE, "spike": {"kind": "monomial", "h": "1.0", "k": 1}},
+        "null_h.json": {**_SPHERE, "spike": {"kind": "monomial", "h": None, "k": 1}},
+        "list_h.json": {**_SPHERE, "spike": {"kind": "monomial", "h": [1], "k": 1}},
+        "string_k.json": {**_SPHERE, "spike": {"kind": "monomial", "h": 1.0, "k": "1"}},
+        "float_k.json": {**_SPHERE, "spike": {"kind": "monomial", "h": 1.0, "k": 1.0}},
+        "string_radial_beta.json": {**_BALL, "radial": {"kind": "tap", "beta": "1.0"}},
+        # out of range, or no longer a campaign setting
+        "degree_33.json": {**_SPHERE, "spike": {"kind": "monomial", "h": 1.0, "k": 33}},
+        "rotate.json": {**_SPHERE, "sampling_mode": "rotate"},
+    }
 
     @pytest.mark.parametrize("flags", [
         ["--n", "1"],
@@ -171,10 +193,11 @@ class TestSimulateCommand:
         ["--config", "array.json"],
         ["--config", "number_radial.json"],
         ["--config", "sphere_radial.json"],
+        *[["--config", name] for name in WRONG_TYPES],
     ])
     def test_out_of_range_input_rejected(self, capsys, monkeypatch, tmp_path, flags):
         monkeypatch.chdir(tmp_path)
-        for name, doc in self.BAD_CONFIGS.items():
+        for name, doc in {**self.BAD_CONFIGS, **self.WRONG_TYPES}.items():
             (tmp_path / name).write_text(json.dumps(doc))
         rc = main(["simulate", "--model", "sphere", "--n", "40", "--trials", "2",
                    "--seed", "1", "--beta", "1", "--spike", "monomial:1:1", *flags])
@@ -229,6 +252,8 @@ class TestPhaseCommand:
         ["--beta-min", "0.5", "--beta-max", "1", "--beta-steps", "-2"],
         ["--h-max", "nan"],
         ["--beta-min", "0.5", "--beta-max", "inf", "--beta-steps", "2"],
+        ["--k", "33"],
+        ["--k", "10000"],
     ])
     def test_out_of_range_input_rejected(self, capsys, tmp_path, flags):
         out = tmp_path / "phase.csv"

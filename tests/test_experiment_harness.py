@@ -117,6 +117,24 @@ class TestConfig:
         del doc["radial"]
         assert ExperimentConfig.from_dict(doc) == ball
 
+    def test_sampling_mode_is_always_invariance(self):
+        doc = sphere_config().to_dict()
+        assert doc["sampling_mode"] == "invariance"
+        assert ExperimentConfig.from_dict(doc) == sphere_config()
+        del doc["sampling_mode"]
+        assert ExperimentConfig.from_dict(doc) == sphere_config()
+        with pytest.raises(ValueError, match="unknown sampling mode 'rotate'"):
+            ExperimentConfig.from_dict({**doc, "sampling_mode": "rotate"})
+
+    def test_config_numbers_must_have_their_json_type(self):
+        # the CLI tests run each wrong type; here the message and the int-as-number case
+        doc = sphere_config().to_dict()
+        with pytest.raises(ValueError, match="config 'n' must be an integer, got 80.0"):
+            ExperimentConfig.from_dict({**doc, "n": 80.0})
+        with pytest.raises(ValueError, match="config 'beta' must be a number, got True"):
+            ExperimentConfig.from_dict({**doc, "beta": True})
+        assert ExperimentConfig.from_dict({**doc, "beta": 1}) == sphere_config()
+
     def test_unknown_output_format_rejected_before_running(self, tmp_path):
         out = str(tmp_path / "out")
         with pytest.raises(ValueError, match="output format"):
@@ -175,10 +193,10 @@ class TestRunExperiment:
     def test_crash_isolation(self, monkeypatch):
         real = harness.sample_spectral_model
 
-        def flaky(n, seed, mode="rotate"):
+        def flaky(n, seed):
             if seed == derive_seed(42, 2):
                 raise np.linalg.LinAlgError("synthetic eigensolver failure")
-            return real(n, seed=seed, mode=mode)
+            return real(n, seed=seed)
 
         monkeypatch.setattr(harness, "sample_spectral_model", flaky)
         records, summary, _ = run_experiment(sphere_config(trials=4))
@@ -264,7 +282,7 @@ class TestRunTrials:
         assert len(results) == len(self.SEEDS)
         for i, (seed, (rec, _)) in enumerate(zip(self.SEEDS, results)):
             assert rec.trial_index == i and rec.derived_seed == seed
-            sample = sample_spectral_model(40, seed=seed, mode="invariance")
+            sample = sample_spectral_model(40, seed=seed)
             if model == "sphere":
                 sol = solve_sphere(sample, cfg.beta, cfg.spike)
                 residual = residual_sphere

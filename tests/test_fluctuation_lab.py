@@ -63,7 +63,7 @@ def exact_w_covariance(n: int, l: float) -> np.ndarray:
 def handcrafted_sample() -> GoeSample:
     lam = np.array([-1.2, -0.3, 0.4, 1.1])
     g = np.array([0.5, -1.3, 0.8, 2.0])
-    return GoeSample(n=4, eigenvalues=lam, u=g / np.linalg.norm(g), raw_gaussians=g)
+    return GoeSample(n=4, eigenvalues=lam, raw_gaussians=g)
 
 
 class TestComputeStatistics:
@@ -86,13 +86,6 @@ class TestComputeStatistics:
             compute_statistics(sample, 1.1 + 1e-12)  # inside the margin
         compute_statistics(sample, 1.5)  # clear of the spectrum: fine
 
-    def test_rotate_mode_has_no_raw_statistics(self):
-        sample = sample_spectral_model(50, seed=3, mode="rotate")
-        st_ = compute_statistics(sample, 2.0)
-        assert st_.X is None and st_.Xprime is None and st_.Y is None
-        with pytest.raises(ValueError, match="raw gaussians"):
-            alt_residual_sphere(1.0, st_, LEAD, PAR)
-
     @given(n=st.integers(3, 40), seed=st.integers(0, 10_000))
     @example(n=6, seed=6452)  # top eigenvalue 2.31, above l = 2.3
     @settings(max_examples=30, deadline=None)
@@ -102,7 +95,7 @@ class TestComputeStatistics:
         # where T is the location average of the weight function; same for
         # the derivative statistics.  This ties the three statistic families
         # together without any asymptotics.
-        sample = sample_spectral_model(n, seed=seed, mode="invariance")
+        sample = sample_spectral_model(n, seed=seed)
         l = max(2.3, sample.lambda_max + 1.0)
         st_ = compute_statistics(sample, l)
         theta = classical_locations(n)
@@ -118,11 +111,7 @@ class TestComputeStatistics:
 
     def test_two_point_sample_exact_values(self):
         # equal weights kill the centered statistics; Lambda is exact arithmetic
-        sample = GoeSample(
-            n=2,
-            eigenvalues=np.array([-1.0, 1.0]),
-            u=np.array([1.0, 1.0]) / math.sqrt(2.0),
-        )
+        sample = GoeSample(n=2, eigenvalues=np.array([-1.0, 1.0]), raw_gaussians=np.ones(2))
         st_ = compute_statistics(sample, 2.0)
         # the squared weights carry one rounding step from 1/sqrt(2)
         assert st_.U == pytest.approx(0.0, abs=1e-15)
@@ -137,14 +126,14 @@ class TestComputeStatistics:
         lam = np.array([-1.1, -0.4, 0.2, 0.9, 1.3])
         u = np.zeros(n)
         u[-1] = 1.0
-        st_ = compute_statistics(GoeSample(n=n, eigenvalues=lam, u=u), l)
+        st_ = compute_statistics(GoeSample(n=n, eigenvalues=lam, raw_gaussians=u), l)
         s_emp = float(np.mean(1.0 / (l - lam)))
         assert st_.U == pytest.approx(
             math.sqrt(n) * (1.0 / (l - lam[-1]) - s_emp), abs=1e-12
         )
 
     def test_derivative_statistic_is_l_derivative(self):
-        sample = sample_spectral_model(80, seed=21, mode="invariance")
+        sample = sample_spectral_model(80, seed=21)
         l, h = 2.0, 1e-6
         up = compute_statistics(sample, l).Uprime
         fd = (
@@ -153,7 +142,7 @@ class TestComputeStatistics:
         assert up == pytest.approx(fd, rel=1e-6)
 
     def test_statistics_match_direct_loops_on_random_sample(self):
-        sample = sample_spectral_model(25, seed=11, mode="invariance")
+        sample = sample_spectral_model(25, seed=11)
         l = 1.9
         st_ = compute_statistics(sample, l)
         n, lam, u = sample.n, sample.eigenvalues, sample.u
@@ -173,10 +162,10 @@ class TestComputeStatistics:
 
 @pytest.fixture(scope="module")
 def mc_batch():
-    """200 invariance-mode samples at n=300, statistics at the dual point."""
+    """200 samples at n=300, statistics at the dual point."""
     stats = []
     for seed in range(200):
-        sample = sample_spectral_model(300, seed=seed, mode="invariance")
+        sample = sample_spectral_model(300, seed=seed)
         try:
             stats.append(compute_statistics(sample, LEAD.l_hat))
         except PoleError:
@@ -241,7 +230,7 @@ class TestLimitLaws:
         stats = []
         for _ in range(trials):
             g = rng.standard_normal(n)
-            sample = GoeSample(n=n, eigenvalues=theta, u=g / np.linalg.norm(g))
+            sample = GoeSample(n=n, eigenvalues=theta, raw_gaussians=g)
             stats.append(compute_statistics(sample, LEAD.l_hat))
         agg = aggregate(stats)
         assert agg["var_W"] == pytest.approx(PAR.Sigma[0, 0], rel=0.25)
@@ -259,7 +248,7 @@ class TestLimitLaws:
         for n in (100, 400):
             diffs = []
             for seed in range(40):
-                sample = sample_spectral_model(n, seed=seed, mode="invariance")
+                sample = sample_spectral_model(n, seed=seed)
                 st_ = compute_statistics(sample, LEAD.l_hat)
                 diffs.append(abs(st_.U - st_.W))
             medians.append(float(np.median(diffs)))
@@ -274,7 +263,7 @@ class TestLimitLaws:
         ws = np.empty((draws, 2))
         for i in range(draws):
             g = rng.standard_normal(n)
-            sample = GoeSample(n=n, eigenvalues=lam, u=g / np.linalg.norm(g))
+            sample = GoeSample(n=n, eigenvalues=lam, raw_gaussians=g)
             st_ = compute_statistics(sample, l)
             ws[i] = st_.W, st_.Wprime
         exact = exact_w_covariance(n, l)
@@ -303,7 +292,7 @@ class TestResiduals:
     def test_sphere_residuals_small_at_moderate_n(self):
         res, alt = [], []
         for seed in range(12):
-            sample = sample_spectral_model(400, seed=2000 + seed, mode="invariance")
+            sample = sample_spectral_model(400, seed=2000 + seed)
             sol = solve_sphere(sample, 1.0, SPIKE)
             st_ = compute_statistics(sample, LEAD.l_hat)
             res.append(residual_sphere(sol.value, st_, LEAD, PAR))
@@ -320,7 +309,7 @@ class TestResiduals:
         dom = (RadialSpec.tap(1.0).domain[0] + 1e-9, 1.0 - 1e-9)
         res = []
         for seed in range(10):
-            sample = sample_spectral_model(500, seed=3000 + seed, mode="invariance")
+            sample = sample_spectral_model(500, seed=3000 + seed)
             sol = solve_ball(sample, 1.0, f, dom)
             try:
                 st_ = compute_statistics(sample, lead.l_hat)
@@ -331,7 +320,7 @@ class TestResiduals:
         assert float(np.median(np.abs(res))) < 0.6
 
     def test_ball_residual_requires_radial_leading_order(self):
-        sample = sample_spectral_model(100, seed=1, mode="invariance")
+        sample = sample_spectral_model(100, seed=1)
         st_ = compute_statistics(sample, LEAD.l_hat)
         with pytest.raises(ValueError, match="radial"):
             residual_ball(1.0, st_, LEAD, PAR)
@@ -346,7 +335,7 @@ class TestResiduals:
             applicable=False,
             reason="zero overlap",
         )
-        sample = sample_spectral_model(60, seed=2, mode="invariance")
+        sample = sample_spectral_model(60, seed=2)
         st_ = compute_statistics(sample, 2.0)
         with pytest.raises(ValueError, match="does not apply"):
             residual_sphere(1.0, st_, lead, PAR)
@@ -354,7 +343,7 @@ class TestResiduals:
 
 class TestAggregate:
     def test_requires_two_valid_samples(self):
-        good = FluctuationSample(10, 0.1, -0.2, 0.3, 0.1, -0.2)
+        good = FluctuationSample(10, 0.1, -0.2, 0.3, 0.1, -0.2, 0.5, -0.1, 0.9)
         with pytest.raises(ValueError, match="at least 2"):
             aggregate([good])
         out = aggregate([good, good])
@@ -362,19 +351,12 @@ class TestAggregate:
 
     def test_moment_keys_without_theory(self):
         samples = [
-            FluctuationSample(10, 0.1 * i, -0.2, 0.3, 0.1, -0.2)
+            FluctuationSample(10, 0.1 * i, -0.2, 0.3, 0.1, -0.2, 0.5, -0.1, 0.9)
             for i in range(5)
         ]
         out = aggregate(samples)
-        assert "mean_U" in out and "var_W" in out
+        assert "mean_U" in out and "var_W" in out and "mean_X" in out
         assert not any(k.startswith("ks_") for k in out)
-        assert "mean_X" not in out  # no raw statistics present
-
-    def test_mixed_raw_availability_drops_raw_block(self):
-        with_raw = FluctuationSample(10, 0.1, -0.2, 0.3, 0.1, -0.2, 0.5, -0.1, 0.9)
-        without = FluctuationSample(10, 0.2, -0.1, 0.2, 0.2, -0.1)
-        out = aggregate([with_raw, without])
-        assert "mean_X" not in out
 
     @pytest.mark.parametrize("m", [2, 3, 40, 400])
     def test_ks_distances_match_scipy(self, m):

@@ -20,19 +20,14 @@ from sklab.theory_engine import RadialSpec, SpikeSpec, maximize_ball_theory, max
 
 
 def two_atom_sample() -> GoeSample:
-    return GoeSample(
-        n=2,
-        eigenvalues=np.array([-1.0, 1.0]),
-        u=np.array([1 / math.sqrt(2), 1 / math.sqrt(2)]),
-    )
+    # u = (1, 1)/sqrt(2)
+    return GoeSample(n=2, eigenvalues=np.array([-1.0, 1.0]), raw_gaussians=np.ones(2))
 
 
 def random_sample(seed: int, n: int) -> GoeSample:
     rng = np.random.default_rng(seed)
     lam = np.sort(rng.normal(size=n)) + np.arange(n) * 1e-9
-    u = rng.normal(size=n)
-    u /= np.linalg.norm(u)
-    return GoeSample(n=n, eigenvalues=lam, u=u)
+    return GoeSample(n=n, eigenvalues=lam, raw_gaussians=rng.normal(size=n))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +150,7 @@ def test_solve_sphere_beats_grid_scan():
 def test_solve_sphere_matches_direct_oracle():
     f = SpikeSpec.monomial(0.7, 1)
     for seed in range(4):
-        s = sample_spectral_model(6, seed=seed, mode="invariance")
+        s = sample_spectral_model(6, seed=seed)
         sol = solve_sphere(s, 1.0, f)
         direct = oracle_direct(s, 1.0, f, restarts=24, seed=seed)
         assert sol.value == pytest.approx(direct, abs=1e-6)
@@ -184,7 +179,7 @@ def test_solve_sphere_plateau_tiebreak():
 
 def test_solve_sphere_lln_sanity():
     # moderate size, aligned phase: the per-site value approaches the limit
-    s = sample_spectral_model(400, seed=0, mode="invariance")
+    s = sample_spectral_model(400, seed=0)
     f = SpikeSpec.monomial(1.0, 1)
     sol = solve_sphere(s, 2.0, f)
     lo = maximize_sphere_theory(f, 2.0)
@@ -209,7 +204,7 @@ def test_solve_ball_reduces_to_sphere_at_unit_radius():
 
 
 def test_solve_ball_lln_sanity():
-    s = sample_spectral_model(400, seed=1, mode="invariance")
+    s = sample_spectral_model(400, seed=1)
     f = SpikeSpec.monomial(1.0, 1)
     sol = solve_ball(s, 1.0, f, (RadialSpec.tap(1.0).domain[0], 1.0 - 1e-9))
     lo = maximize_ball_theory(f, 1.0)
@@ -222,7 +217,7 @@ def test_solve_ball_matches_direct_oracle():
     f = SpikeSpec.monomial(1.0, 1)
     R = (RadialSpec.tap(1.0).domain[0], 1.0 - 1e-9)
     for seed in range(3):
-        s = sample_spectral_model(6, seed=100 + seed, mode="invariance")
+        s = sample_spectral_model(6, seed=100 + seed)
         sol = solve_ball(s, 1.0, f, R)
         direct = oracle_direct(s, 1.0, f, R=R, restarts=24, seed=seed)
         assert sol.value == pytest.approx(direct, abs=1e-5)
@@ -393,7 +388,7 @@ def tap_ball_max(s: GoeSample, beta: float, h: float, lo: float, hi: float) -> f
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_solve_sphere_matches_trust_region_at_n300(seed):
-    s = sample_spectral_model(300, seed=seed, mode="invariance")
+    s = sample_spectral_model(300, seed=seed)
     sol = solve_sphere(s, 1.0, SpikeSpec.monomial(1.5, 1))
     value, overlap = trust_region_max(s, 1.0, 1.5)
     assert sol.value / s.n == pytest.approx(value, abs=1e-12)
@@ -402,7 +397,7 @@ def test_solve_sphere_matches_trust_region_at_n300(seed):
 
 def test_solve_ball_reaches_joint_maximum():
     # the radius and overlap are maximized jointly, not coordinate-wise
-    s = sample_spectral_model(100, seed=4, mode="invariance")
+    s = sample_spectral_model(100, seed=4)
     lo, hi = RadialSpec.tap(1.0).domain[0] + 1e-9, 1.0 - 1e-9
     sol = solve_ball(s, 1.0, SpikeSpec.monomial(1.0, 1), (lo, hi))
     assert sol.value / s.n == pytest.approx(tap_ball_max(s, 1.0, 1.0, lo, hi), abs=1e-10)
@@ -410,6 +405,6 @@ def test_solve_ball_reaches_joint_maximum():
 
 def test_even_spike_tie_breaks_toward_negative_overlap():
     # f(alpha) = f(-alpha): both signs of the overlap are exact ties
-    s = sample_spectral_model(50, seed=10, mode="invariance")
+    s = sample_spectral_model(50, seed=10)
     sol = solve_sphere(s, 1.0, SpikeSpec.monomial(1.5, 2))
     assert sol.alpha_star < 0.0

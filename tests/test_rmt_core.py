@@ -8,6 +8,7 @@ from scipy import integrate
 
 from sklab.rmt_core import (
     SQRT2,
+    GoeSample,
     PoleError,
     classical_locations,
     linear_stat_clt,
@@ -157,7 +158,7 @@ def test_theta_transform_uses_classical_locations():
 
 def _sample_measure(name: str) -> tuple[np.ndarray, np.ndarray, float]:
     """Atoms, weights and a point to their right for one sample measure."""
-    smp = sample_spectral_model(12, seed=7, mode="rotate")
+    smp = sample_spectral_model(12, seed=7)
     atoms = smp.eigenvalues if "lambda" in name else classical_locations(smp.n)
     weights = smp.u**2 if name.startswith("weighted") else np.full(smp.n, 1.0 / smp.n)
     return atoms, weights, float(atoms[-1]) + 0.9
@@ -214,7 +215,7 @@ def test_sample_goe_variance_structure():
     assert np.mean(off2) == pytest.approx(0.5, rel=0.05)
 
 
-@pytest.mark.parametrize("mode", ["rotate", "invariance"])
+@pytest.mark.parametrize("mode", ["invariance"])  # the one value the keyword takes
 def test_sample_spectral_model_basic(mode):
     s = sample_spectral_model(60, seed=5, mode=mode)
     assert s.n == 60
@@ -225,18 +226,35 @@ def test_sample_spectral_model_basic(mode):
     assert np.array_equal(s.u, again.u)
 
 
-def test_modes_share_eigenvalues_and_differ_in_u():
-    a = sample_spectral_model(40, seed=11, mode="rotate")
-    b = sample_spectral_model(40, seed=11, mode="invariance")
-    assert np.allclose(a.eigenvalues, b.eigenvalues)
-    assert a.raw_gaussians is None
-    assert b.raw_gaussians is not None
-    assert np.allclose(b.u, b.raw_gaussians / np.linalg.norm(b.raw_gaussians))
-    assert not np.allclose(a.u, b.u)
+def test_sample_u_is_the_normalized_spike_gaussians():
+    s = sample_spectral_model(40, seed=11)
+    raw = s.raw_gaussians
+    assert np.array_equal(s.u, raw / math.sqrt(float(raw @ raw)))
+    # the spectrum is the matrix's; the Gaussians come after it in the stream
+    j = sample_goe(40, seed=11) / math.sqrt(40)
+    assert np.allclose(s.eigenvalues, np.linalg.eigvalsh(j))
+
+
+def test_only_the_invariance_sampler_exists():
+    with pytest.raises(ValueError, match="unknown mode"):
+        sample_spectral_model(10, 0, mode="rotate")
+
+
+@pytest.mark.parametrize("raw", [
+    np.zeros(3), np.array([1.0, np.nan, 0.0]), np.array([np.inf, 1.0, 0.0]),
+])
+def test_goe_sample_rejects_raw_gaussians_without_a_finite_nonzero_norm(raw):
+    with pytest.raises(ValueError, match="norm"):
+        GoeSample(n=3, eigenvalues=np.array([-1.0, 0.0, 1.0]), raw_gaussians=raw)
+
+
+def test_goe_sample_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="shape"):
+        GoeSample(n=3, eigenvalues=np.array([-1.0, 0.0, 1.0]), raw_gaussians=np.ones(2))
 
 
 def test_eigenvalues_track_semicircle():
-    s = sample_spectral_model(500, seed=3, mode="invariance")
+    s = sample_spectral_model(500, seed=3)
     k = np.arange(1, 501) / 500
     gap = np.abs(semicircle_cdf(np.clip(s.eigenvalues, -SQRT2, SQRT2)) - k)
     assert gap.max() < 0.05
@@ -280,13 +298,6 @@ def test_linear_stat_resolvent_matches_closed_form():
     m, v = linear_stat_clt(lambda x: 1.0 / (2.0 - x), lambda x: (2.0 - x) ** -2)
     assert m == pytest.approx((2.0 - SQRT2) / 4.0, abs=1e-9)
     assert v == pytest.approx(0.25, abs=1e-9)
-
-
-def test_linear_stat_finite_difference_fallback():
-    m1, v1 = linear_stat_clt(lambda x: x**3)
-    m2, v2 = linear_stat_clt(lambda x: x**3, lambda x: 3 * x * x)
-    assert m1 == pytest.approx(m2, abs=1e-8)
-    assert v1 == pytest.approx(v2, abs=1e-6)
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,6 +9,7 @@ from scipy import optimize
 
 from sklab.rmt_core import SQRT2, PoleError, semicircle_transform
 from sklab.theory_engine import (
+    MAX_DEGREE,
     GenericMinimaxInput,
     InapplicableRegimeError,
     RadialSpec,
@@ -160,6 +161,35 @@ def test_monomial_rejects_bad_degree():
         SpikeSpec.monomial(1.0, 0)
     with pytest.raises(ValueError):
         SpikeSpec.monomial(math.nan, 2)
+
+
+@pytest.mark.parametrize("k", [0, 2.5, MAX_DEGREE + 1, 10_000, math.inf, math.nan])
+def test_every_degree_entry_point_rejects_degrees_outside_the_bound(k):
+    # the closed forms divide by zero from about k = 48 and overflow from 257
+    for call in (
+        lambda: SpikeSpec.monomial(1.5, k),
+        lambda: critical_betas(k, 1.5),
+        lambda: tap_threshold(k, 1.0),
+    ):
+        with pytest.raises(ValueError, match="degree must be an integer in 1..32"):
+            call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_highest_degree_theory_runs_without_floating_point_warnings():
+    for beta in np.geomspace(0.01, 20, 10):
+        beta = float(beta)
+        tap_threshold(MAX_DEGREE, beta)
+        for h in np.geomspace(0.05, 50, 3):
+            spike = SpikeSpec.monomial(float(h), MAX_DEGREE)
+            critical_betas(MAX_DEGREE, float(h))
+            for maximize, params in ((maximize_sphere_theory, fluct_params_sphere),
+                                     (maximize_ball_theory, fluct_params_ball)):
+                lead = maximize(spike, beta)
+                try:
+                    params(spike, beta, lead)
+                except InapplicableRegimeError:
+                    pass
 
 
 @pytest.mark.parametrize(
