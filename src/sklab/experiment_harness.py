@@ -13,11 +13,11 @@ theory sidecar, so a campaign re-run is byte-identical apart from wall times.
 The limit theory is computed once per run and every trial takes the same
 path, :func:`_run_trial` applied to the configuration, the theory, the trial
 index and the seed, through :func:`pool_map`: in this process with
-``parallelism == 1``, otherwise in a pool of ``parallelism`` worker
-processes whose OpenBLAS runs one thread each.  The output is ordered by
-trial index, independent of scheduling.  A trial that raises a numerical
-error becomes a ``valid=false`` row; any other exception is a bug and aborts
-the campaign.
+``parallelism == 1``, otherwise in a pool of at most ``parallelism``
+worker processes whose OpenBLAS runs one thread each.  The output is
+ordered by trial index, independent of scheduling.  A trial that raises a
+numerical error becomes a ``valid=false`` row; any other exception is a bug
+and aborts the campaign.
 Validity depends on the configuration and the seed only, never on how long
 a trial took.
 """
@@ -28,6 +28,7 @@ import csv
 import ctypes
 import json
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -142,6 +143,11 @@ class ExperimentConfig:
             raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.output_format!r}")
+        path = self.output_path
+        if path is not None and not (isinstance(path, str) and path):
+            raise ValueError(
+                f"config 'output_path' must be a non-empty string or null, got {path!r}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -357,15 +363,29 @@ def _single_thread_env() -> None:
             setter(1)
 
 
-def pool_map(parallelism: int, fn, *iterables) -> list:
-    """``list(map(fn, *iterables))``; above one, in ``parallelism`` one-thread-BLAS workers.
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Pool workers need ``fn`` to be a module-level function.
+
+def pool_map(parallelism: int, fn, *iterables) -> list:
+    """``list(map(fn, *iterables))``; above one, in one-thread-BLAS workers.
+
+    The pool has ``parallelism`` workers, capped at the number of calls and
+    at the usable core count, since the executor forks every worker at the
+    first call.  A cap of one still runs in the pool, so results never
+    depend on it.  Pool workers need ``fn`` to be a module-level function.
     """
     if parallelism == 1:
         return list(map(fn, *iterables))
-    with ProcessPoolExecutor(parallelism, initializer=_single_thread_env) as pool:
-        return list(pool.map(fn, *iterables))
+    calls = list(zip(*iterables))
+    if not calls:
+        return []
+    workers = min(parallelism, len(calls), _usable_cores())
+    with ProcessPoolExecutor(workers, initializer=_single_thread_env) as pool:
+        return list(pool.map(fn, *zip(*calls)))
 
 
 #: errors that make a trial an invalid row; anything else aborts the campaign

@@ -45,6 +45,11 @@ __all__ = [
 
 SQRT2 = math.sqrt(2.0)
 
+#: rows per block when a draw symmetrizes in place; a block's buffered
+#: transposed operand is at most this many rows of the matrix
+_SYMMETRIZE_ROWS = 64
+
+
 class PoleError(ValueError):
     """Raised when a transform is evaluated at or below an atom / branch point."""
 
@@ -108,8 +113,14 @@ def sample_goe(n: int, seed: int) -> np.ndarray:
 
 
 def _break_ties(lam: np.ndarray) -> np.ndarray:
-    """Make a sorted eigenvalue array strictly increasing (ulp perturbation)."""
-    lam = np.array(lam, dtype=float)
+    """Make a sorted eigenvalue array strictly increasing (ulp perturbation).
+
+    An array without ties is returned as it is, after one vectorized test.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if np.all(np.diff(lam) > 0):
+        return lam
+    lam = lam.copy()
     for i in range(1, lam.size):
         if lam[i] <= lam[i - 1]:
             lam[i] = np.nextafter(lam[i - 1], np.inf)
@@ -126,13 +137,28 @@ def sample_spectral_model(
     in law to the overlaps of a fixed direction with the eigenbasis, by
     orthogonal invariance.  ``(n, seed)`` determines the sample exactly.
     ``mode`` accepts ``"invariance"`` only.
+
+    The draw builds the lower triangle of ``J/sqrt(n) = (a + a.T)/(2 sqrt(n))``
+    in place over the Gaussian matrix ``a``, one block of rows at a time, and
+    ``eigvalsh`` reads only that triangle.  Each entry goes through the same
+    two floating-point operations as the full expression, so the eigenvalues
+    are bit-identical to it, and peak memory is two n x n arrays: ``a`` and
+    the copy ``eigvalsh`` hands to LAPACK.
     """
     if mode != "invariance":
         raise ValueError(f"unknown mode {mode!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     a = rng.standard_normal((n, n))
-    j = (a + a.T) / (2.0 * math.sqrt(n))
-    lam = _break_ties(np.linalg.eigvalsh(j))
+    scale = 2.0 * math.sqrt(n)
+    for i0 in range(0, n, _SYMMETRIZE_ROWS):
+        i1 = min(i0 + _SYMMETRIZE_ROWS, n)
+        # the lower triangle of rows i0:i1 lies in columns :i1.  NumPy buffers
+        # the transposed operand where it overlaps the output; the upper half
+        # of the diagonal block, written too, is never read
+        rows = a[i0:i1, :i1]
+        np.add(rows, a[:i1, i0:i1].T, out=rows)
+        np.divide(rows, scale, out=rows)
+    lam = _break_ties(np.linalg.eigvalsh(a, UPLO="L"))
     return GoeSample(n=n, eigenvalues=lam, raw_gaussians=rng.standard_normal(n))
 
 

@@ -11,6 +11,7 @@ import sys
 import pytest
 
 import sklab
+import sklab.experiment_harness as harness
 from sklab.cli import (
     _QUICK_KWARGS,
     CheckResult,
@@ -183,12 +184,27 @@ class TestSimulateCommand:
         "rotate.json": {**_SPHERE, "sampling_mode": "rotate"},
     }
 
+    @pytest.mark.parametrize("path", [5, ""])
+    def test_bad_output_path_rejected_before_any_trial(self, capsys, monkeypatch, tmp_path, path):
+        # such a config used to run every trial, then fail in emit with a traceback
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_run_trial", no_trial)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**self._SPHERE, "output_path": path}))
+        assert main(["simulate", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"sklab simulate: config 'output_path' must be a non-empty string "
+                       f"or null, got {path!r}\n")
+
     @pytest.mark.parametrize("flags", [
         ["--n", "1"],
         ["--config", "missing.json"],
         ["--config", "mismatched.json"],
         ["--config", "incomplete.json"],
         ["--model", "ball", "--beta", "inf"],
+        ["--output", ""],
         ["--config", "string_spike.json"],
         ["--config", "array.json"],
         ["--config", "number_radial.json"],

@@ -135,6 +135,15 @@ class TestConfig:
             ExperimentConfig.from_dict({**doc, "beta": True})
         assert ExperimentConfig.from_dict({**doc, "beta": 1}) == sphere_config()
 
+    @pytest.mark.parametrize("path", [5, "", ["out"], True])
+    def test_output_path_must_be_a_non_empty_string_or_null(self, path):
+        doc = sphere_config().to_dict()
+        with pytest.raises(ValueError, match="'output_path' must be a non-empty string or null"):
+            ExperimentConfig.from_dict({**doc, "output_path": path})
+        with pytest.raises(ValueError, match="'output_path' must be a non-empty string or null"):
+            sphere_config(output_path=path)
+        assert ExperimentConfig.from_dict({**doc, "output_path": "out"}).output_path == "out"
+
     def test_unknown_output_format_rejected_before_running(self, tmp_path):
         out = str(tmp_path / "out")
         with pytest.raises(ValueError, match="output format"):
@@ -307,6 +316,55 @@ def test_pool_carries_polynomial_spikes():
     spikes = [SpikeSpec.polynomial([0, 0.8, 0, 0.3]), SpikeSpec.polynomial([0, 1])]
     serial = [maximize_ball_theory(f, 1.0) for f in spikes]
     assert harness.pool_map(2, maximize_ball_theory, spikes, [1.0, 1.0]) == serial
+
+
+class RecordingExecutor:
+    """Stands in for ``ProcessPoolExecutor``: records its size, starts no process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers, initializer):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("parallelism, calls, cores, workers", [
+    (64, 3, 4, 3),     # capped at the number of calls
+    (64, 10, 4, 4),    # capped at the usable cores
+    (3, 10, 4, 3),     # below both caps
+    (2, 1, 4, 1),      # one call still runs in the one-thread-BLAS pool
+    (2, 5, 1, 1),      # one usable core too
+])
+def test_pool_size_is_capped(monkeypatch, parallelism, calls, cores, workers):
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(harness, "_usable_cores", lambda: cores)
+    got = harness.pool_map(parallelism, pow, [2] * calls, range(calls))
+    assert got == [2**i for i in range(calls)]
+    assert RecordingExecutor.sizes == [workers]
+
+
+def test_pool_with_no_calls_starts_no_executor(monkeypatch):
+    monkeypatch.setattr(RecordingExecutor, "sizes", [])
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingExecutor)
+    assert harness.pool_map(4, pow, [], []) == []
+    assert RecordingExecutor.sizes == []
+
+
+def test_usable_cores_reads_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert harness._usable_cores() == 3
+    monkeypatch.delattr(harness.os, "sched_getaffinity")
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 6)
+    assert harness._usable_cores() == 6
 
 
 def openblas_threads() -> list[int]:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from sklab import rmt_core
 from sklab.rmt_core import (
     SQRT2,
     GoeSample,
@@ -232,7 +234,36 @@ def test_sample_u_is_the_normalized_spike_gaussians():
     assert np.array_equal(s.u, raw / math.sqrt(float(raw @ raw)))
     # the spectrum is the matrix's; the Gaussians come after it in the stream
     j = sample_goe(40, seed=11) / math.sqrt(40)
-    assert np.allclose(s.eigenvalues, np.linalg.eigvalsh(j))
+    assert np.array_equal(s.eigenvalues, np.linalg.eigvalsh(j))
+
+
+_B = rmt_core._SYMMETRIZE_ROWS
+
+
+@pytest.mark.parametrize("n", [1, 2, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1])
+def test_in_place_draw_matches_the_full_symmetric_matrix(n):
+    # the reference builds the whole of (a + a.T) / (2 sqrt(n)) from the same
+    # Philox stream; the sampler builds only its lower triangle, block by block
+    rng = np.random.Generator(np.random.Philox(9))
+    a = rng.standard_normal((n, n))
+    lam = rmt_core._break_ties(np.linalg.eigvalsh((a + a.T) / (2.0 * math.sqrt(n))))
+    s = sample_spectral_model(n, seed=9)
+    assert np.array_equal(s.eigenvalues, lam)
+    assert np.array_equal(s.raw_gaussians, rng.standard_normal(n))
+
+
+def test_a_draw_allocates_one_matrix_and_a_block():
+    # the draw itself plus the buffered operands of one block of rows; the
+    # full expression (a + a.T) / (2 sqrt(n)) held a second matrix
+    n = 400
+    sample_spectral_model(n, seed=0)  # warm-up: lazy imports and caches
+    tracemalloc.start()
+    try:
+        sample_spectral_model(n, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * n * n * 8
 
 
 def test_only_the_invariance_sampler_exists():
