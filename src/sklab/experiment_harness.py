@@ -25,7 +25,6 @@ a trial took.
 from __future__ import annotations
 
 import csv
-import ctypes
 import json
 import math
 import os
@@ -45,7 +44,7 @@ from .fluctuation_lab import (
     residual_sphere,
 )
 from .reduction_solver import StationarityError, solve_ball, solve_sphere
-from .rmt_core import PoleError, sample_spectral_model
+from .rmt_core import PoleError, _numpy_linalg, sample_spectral_model
 from .theory_engine import (
     FluctuationParams,
     InapplicableRegimeError,
@@ -343,24 +342,18 @@ _BLAS_SETTERS = (
 
 
 def _single_thread_env() -> None:
-    """Pin every OpenBLAS loaded in this process to one thread.
+    """Pin NumPy's OpenBLAS to one thread.
 
     Pool workers are forked after NumPy has loaded OpenBLAS, so the
     ``*_NUM_THREADS`` variables are read too late; the count is set through
-    each library found in ``/proc/self/maps`` instead.  Without that file or
-    a known setter this does nothing.
+    the setter that NumPy's linear-algebra extension resolves instead.
+    Without a known setter this does nothing.
     """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line}
-    except OSError:
-        return
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        setter = next((getattr(lib, s) for s in _BLAS_SETTERS if hasattr(lib, s)), None)
-        if setter is not None:
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
+    lib = _numpy_linalg()
+    setter = next((getattr(lib, s) for s in _BLAS_SETTERS if hasattr(lib, s)), None)
+    if setter is not None:
+        setter.restype = None  # void; ctypes passes the int as a C int
+        setter(1)
 
 
 def _usable_cores() -> int:

@@ -125,7 +125,7 @@ def _degenerate_value(sample: GoeSample) -> float:
 
 def _plateau_bound(sample: GoeSample) -> float:
     u_n2 = float(sample.u[-1]) ** 2
-    spread = sample.lambda_max - sample.lambda_min
+    spread = sample.lambda_max - float(sample.eigenvalues[0])
     return 2.0 * spread * u_n2 / math.sqrt(max(1.0 - u_n2, 1e-300))
 
 

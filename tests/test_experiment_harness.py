@@ -1,7 +1,6 @@
 """Tests for the campaign runner: seeding, persistence, determinism."""
 
 import csv
-import ctypes
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -11,6 +10,7 @@ import numpy as np
 import pytest
 
 import sklab.experiment_harness as harness
+from sklab import rmt_core
 from sklab.experiment_harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -367,38 +367,28 @@ def test_usable_cores_reads_the_affinity_mask(monkeypatch):
     assert harness._usable_cores() == 6
 
 
-def openblas_threads() -> list[int]:
-    """Thread count of every OpenBLAS loaded in this process, read through ctypes."""
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line}
-    counts = []
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for symbol in (
-            "scipy_openblas_get_num_threads64_",
-            "scipy_openblas_get_num_threads",
-            "openblas_get_num_threads64_",
-            "openblas_get_num_threads",
-        ):
-            if hasattr(lib, symbol):
-                getter = getattr(lib, symbol)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                counts.append(getter())
-                break
-    return counts
+def numpy_blas_threads() -> int | None:
+    """Thread count of NumPy's OpenBLAS, or None where NumPy exports no getter."""
+    lib = rmt_core._numpy_linalg()
+    for symbol in (
+        "scipy_openblas_get_num_threads64_",
+        "scipy_openblas_get_num_threads",
+        "openblas_get_num_threads64_",
+        "openblas_get_num_threads",
+    ):
+        if hasattr(lib, symbol):
+            return getattr(lib, symbol)()  # ctypes' default result type is a C int
+    return None
 
 
 def test_pool_workers_run_single_threaded_blas():
     # the workers are forked after NumPy loaded OpenBLAS, so the pin must act
-    # on the loaded libraries, not on the environment
-    try:
-        with ProcessPoolExecutor(1, initializer=harness._single_thread_env) as pool:
-            counts = pool.submit(openblas_threads).result()
-    except FileNotFoundError:
-        pytest.skip("no /proc/self/maps")
-    if not counts:
-        pytest.skip("no OpenBLAS loaded")
-    assert counts == [1] * len(counts)
+    # on the loaded library, not on the environment
+    with ProcessPoolExecutor(1, initializer=harness._single_thread_env) as pool:
+        count = pool.submit(numpy_blas_threads).result()
+    if count is None:
+        pytest.skip("NumPy's BLAS is not OpenBLAS")
+    assert count == 1
 
 
 class TestSidecar:

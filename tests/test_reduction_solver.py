@@ -305,7 +305,7 @@ def test_inner_value_bounded_by_spectrum(seed, n):
     s = random_sample(seed, n)
     for alpha in (0.0, 0.4, 0.99, 1.0):
         v = inner_max(s, alpha).value
-        assert s.lambda_min - 1e-12 <= v <= s.lambda_max + 1e-12
+        assert s.eigenvalues[0] - 1e-12 <= v <= s.lambda_max + 1e-12
 
 
 # ---------------------------------------------------------------------------
