@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -51,6 +50,7 @@ from .theory_engine import (
     LeadingOrder,
     RadialSpec,
     SpikeSpec,
+    check_beta,
     fluct_params_ball,
     fluct_params_sphere,
     maximize_ball_theory,
@@ -65,12 +65,9 @@ __all__ = [
     "derive_seed",
     "emit",
     "load_config",
-    "parse_campaign_csv",
-    "parse_campaign_json",
     "pool_map",
     "run_experiment",
     "run_trials",
-    "save_config",
     "theory_sidecar",
 ]
 
@@ -124,8 +121,7 @@ class ExperimentConfig:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if not 0 < self.beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        check_beta(self.beta)
         if self.spike.kind != "monomial":
             raise ValueError("campaign configs support monomial spikes only")
         derived = RadialSpec.tap(self.beta) if self.model == "ball" else None
@@ -227,12 +223,6 @@ def _number(value, name: str, kind: type):
         what = "an integer" if kind is int else "a number"
         raise ValueError(f"config {name!r} must be {what}, got {value!r}")
     return kind(value)
-
-
-def save_config(config: ExperimentConfig, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(config.to_dict(), fh, indent=2)
-        fh.write("\n")
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -564,33 +554,3 @@ def emit(
             pass
         raise
     return written
-
-
-def parse_campaign_csv(path: str) -> list[TrialRecord]:
-    """Read back an emitted CSV; exact inverse of :func:`emit` for csv."""
-    out: list[TrialRecord] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise ValueError(f"unexpected columns: {reader.fieldnames}")
-        for row in reader:
-            kwargs = {}
-            for col in CSV_COLUMNS:
-                raw = row[col]
-                if col in ("trial_index", "derived_seed", "n"):
-                    kwargs[col] = int(raw)
-                elif col == "valid":
-                    kwargs[col] = raw == "true"
-                else:
-                    kwargs[col] = float(raw) if raw != "" else None
-            out.append(TrialRecord(**kwargs))
-    return out
-
-
-def parse_campaign_json(path: str) -> tuple[list[TrialRecord], dict, dict]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported campaign schema {doc.get('schema_version')!r}")
-    records = [TrialRecord(**rec) for rec in doc["records"]]
-    return records, doc["summary"], doc["theory"]

@@ -22,7 +22,7 @@ numerical demonstration).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,7 +39,6 @@ from .theory_engine import FluctuationParams, LeadingOrder
 __all__ = [
     "FluctuationSample",
     "aggregate",
-    "alt_residual_sphere",
     "compute_statistics",
     "residual_ball",
     "residual_sphere",
@@ -160,25 +159,6 @@ def residual_ball(
     if leading.r_hat is None:
         raise ValueError("ball residual requires a radial leading order")
     return _second_order_residual(value, stats, leading, params)
-
-
-def alt_residual_sphere(
-    value: float,
-    stats: FluctuationSample,
-    leading: LeadingOrder,
-    params: FluctuationParams,
-) -> float:
-    """Sphere residual in the independent-summand statistics.
-
-    Uses the raw-gaussian statistics (X, X', Y) in place of (U, U'): the
-    change of weights introduces the extra order-one cross term
-    ``kappa X Y``.
-    """
-    swapped = replace(stats, U=stats.X, Uprime=stats.Xprime)
-    return (
-        _second_order_residual(value, swapped, leading, params)
-        + params.kappa * stats.X * stats.Y
-    )
 
 
 def _ks_normal(z: np.ndarray) -> float:

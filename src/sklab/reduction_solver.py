@@ -39,8 +39,8 @@ from typing import Literal
 import numpy as np
 
 from .rmt_core import GoeSample, resolvent_moment
-from .theory_engine import RadialSpec, SpikeSpec, golden_max, grid_golden_max, radial_search
-from .theory_engine import _largest_root_decreasing
+from .theory_engine import RadialSpec, SpikeSpec, check_beta, golden_max, grid_golden_max
+from .theory_engine import _largest_root_decreasing, radial_search
 
 __all__ = [
     "InnerResult",
@@ -241,8 +241,7 @@ def solve_sphere(sample: GoeSample, beta: float, f: SpikeSpec) -> SphereSolve:
     maximizer itself is ``recover_maximizer(sample, alpha_star, l_star)``; at
     ``alpha = +-1`` it is ``+-u``.
     """
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    check_beta(beta)
     phi = lambda a, inner: f.value(a) + beta * inner
     best, alpha_star, _, l_star, regime = _best_state(sample, phi, phi)
     return SphereSolve(
@@ -272,8 +271,7 @@ def solve_ball(
     problem uses too.  Exact ties are broken toward the side candidates, then
     toward the smaller overlap and radius.
     """
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    check_beta(beta)
     radial, scan = radial_search(f, beta, _radial_interval(R))
     best, alpha_star, inner, l_star, regime = _best_state(
         sample, lambda a, inner: radial(a, inner)[0], scan

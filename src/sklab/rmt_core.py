@@ -1,9 +1,9 @@
 """Random-matrix primitives.
 
-GOE sampling, spectral models with a planted direction, semicircle-law
-quantities (CDF, classical locations, Stieltjes transform), the
-resolvent-moment kernel behind the transform of every weighted sample
-measure, and the Gaussian limit of linear eigenvalue statistics.
+The spectral model with a planted direction, semicircle-law quantities
+(CDF, classical locations, Stieltjes transform), the resolvent-moment
+kernel behind the transform of every weighted sample measure, and the
+Gaussian limit of linear eigenvalue statistics.
 
 Conventions used throughout the package:
 
@@ -38,7 +38,6 @@ __all__ = [
     "classical_locations",
     "linear_stat_clt",
     "resolvent_moment",
-    "sample_goe",
     "sample_spectral_model",
     "semicircle_cdf",
     "semicircle_transform",
@@ -98,19 +97,6 @@ class GoeSample:
     @property
     def lambda_max(self) -> float:
         return float(self.eigenvalues[-1])
-
-
-def sample_goe(n: int, seed: int) -> np.ndarray:
-    """Draw a GOE matrix: symmetric, ``Var(J_ii)=1``, ``Var(J_ij)=1/2``.
-
-    Uses the counter-based Philox generator, so a given ``(n, seed)`` pair
-    reproduces the same matrix on any platform.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rng = np.random.Generator(np.random.Philox(seed))
-    a = rng.standard_normal((n, n))
-    return (a + a.T) / 2.0
 
 
 def _break_ties(lam: np.ndarray) -> np.ndarray:

@@ -44,10 +44,10 @@ __all__ = [
     "InapplicableRegimeError",
     "LeadingOrder",
     "MAX_DEGREE",
-    "MinimaxExpansion",
     "RadialSpec",
     "SpikeSpec",
     "ball_saddle",
+    "check_beta",
     "check_degree",
     "corollary_constants",
     "critical_betas",
@@ -83,6 +83,12 @@ def check_degree(k) -> int:
     if not 1 <= k <= MAX_DEGREE or k != int(k):
         raise ValueError(f"monomial degree must be an integer in 1..{MAX_DEGREE}, got {k}")
     return int(k)
+
+
+def check_beta(beta) -> None:
+    """``ValueError`` unless the inverse temperature ``beta`` is positive and finite."""
+    if not 0 < beta < math.inf:
+        raise ValueError(f"beta must be positive and finite, got {beta}")
 
 
 @dataclass
@@ -162,8 +168,7 @@ class RadialSpec:
 
     @classmethod
     def tap(cls, beta: float) -> "RadialSpec":
-        if not 0 < beta < math.inf:
-            raise ValueError(f"beta must be positive and finite, got {beta}")
+        check_beta(beta)
         return cls(beta=float(beta))
 
     @property
@@ -184,16 +189,12 @@ class RadialSpec:
         return float(out) if out.ndim == 0 else out
 
     def d1(self, r):
-        r = np.asarray(r, dtype=float)
         one = 1.0 - r * r
-        out = -r / one - 2.0 * self.beta**2 * r * one
-        return float(out) if out.ndim == 0 else out
+        return -r / one - 2.0 * self.beta**2 * r * one
 
     def d2(self, r):
-        r = np.asarray(r, dtype=float)
         one = 1.0 - r * r
-        out = -(1.0 + r * r) / one**2 - 2.0 * self.beta**2 * (1.0 - 3.0 * r * r)
-        return float(out) if out.ndim == 0 else out
+        return -(1.0 + r * r) / one**2 - 2.0 * self.beta**2 * (1.0 - 3.0 * r * r)
 
     def to_dict(self) -> dict:
         return {"kind": "tap", "beta": self.beta}
@@ -328,7 +329,8 @@ def _maximize_sphere_monomial(f: SpikeSpec, beta: float) -> LeadingOrder:
         beta_c, _ = critical_betas(k, h)
         if beta > beta_c:
             return _zero_overlap_leading(beta, f, "zero-overlap maximizer")
-        a = math.sqrt(1.0 - beta * beta / (2.0 * h * h)) if beta < beta_c else 0.0
+        # an ulp below beta_c the radicand can round to zero or below it
+        a = math.sqrt(max(1.0 - beta * beta / (2.0 * h * h), 0.0))
         if beta == beta_c or a == 0.0:
             lo = _zero_overlap_leading(beta, f, "tied with zero-overlap state")
             lo.multiplicity = "pair"
@@ -456,8 +458,7 @@ def maximize_sphere_theory(f: SpikeSpec, beta: float) -> LeadingOrder:
     ``applicable=False`` rather than raising, since the leading order is
     still perfectly well defined there.
     """
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    check_beta(beta)
     if f.kind == "monomial":
         return _maximize_sphere_monomial(f, beta)
     return _maximize_sphere_numeric(f, beta)
@@ -484,8 +485,7 @@ def tap_threshold(k: int, beta: float) -> float:
     refined by golden-section search.
     """
     check_degree(k)
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    check_beta(beta)
     if k == 1:
         return 0.0
     if k == 2:
@@ -709,8 +709,7 @@ def maximize_ball_theory(f: SpikeSpec, beta: float) -> LeadingOrder:
     Newton polish; it never calls ``tap_threshold``.  Boundary or zero-overlap
     maximizers are returned flagged.
     """
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    check_beta(beta)
     if f.kind == "monomial":
         return _maximize_ball_tap_monomial(f, beta)
     return _maximize_ball_numeric(f, beta)
@@ -759,18 +758,18 @@ def _fluct_params(inp: GenericMinimaxInput, alpha_hat: float) -> FluctuationPara
     """Expand the saddle ``inp``; the statistics' limit laws depend on the overlap only."""
     if not np.all(np.linalg.eigvalsh(inp.hessian_B) < 0.0):
         raise InapplicableRegimeError("Hessian at the maximizer is not negative definite")
-    exp = generic_minimax_params(inp)
+    w, _, G = generic_minimax_params(inp)
     a2 = alpha_hat * alpha_hat
     z = math.sqrt(2.0 * (1.0 - a2))
     return FluctuationParams(
-        kappa=exp.E2,
-        G=exp.G,
+        kappa=inp.h_g,
+        G=G,
         var_U=z**4 / a2,
         var_Uprime=z**6 * (2.0 + a2 + a2 * a2) / a2**5,
         cov_UUprime=-(z**5) * (1.0 + a2) / a2**3,
         lambda_mean=z**3 / (2.0 * a2 * a2),
         lambda_var=z**4 / a2**4,
-        w=exp.w,
+        w=w,
         h_ll=inp.h_l_l,
     )
 
@@ -873,33 +872,24 @@ class GenericMinimaxInput:
             raise ValueError("h_l_l must be nonzero")
 
 
-@dataclass
-class MinimaxExpansion:
-    """Coefficients of the second-order expansion of the minimax value.
+def generic_minimax_params(inp: GenericMinimaxInput) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Second-order minimax coefficients ``(w, K, G)`` from saddle derivatives.
 
-    The expansion reads  value = B + E2 * W/sqrt(n) + F/n + o(1/n)  with ``B``
-    the leading-order value and F = E2 * Lambda - (W, W')^T G (W, W') / 2.
-    ``G`` follows the closed-form display convention
-    ``K^T J^{-1} K - diag(h_gg, 0)`` with ``J = hessian_B``; the residuals use
-    ``G + w w^T / h_l_l`` instead, the rank-one term coming from eliminating
-    the dual variable (``FluctuationParams.G_resid``).  This is the one route
-    from saddle partials to the constants of both models.
+    The minimax value expands as  B + kappa W/sqrt(n) + F/n + o(1/n)  with
+    ``B`` the leading-order value, ``kappa = inp.h_g`` and
+    F = kappa Lambda - (W, W')^T G (W, W') / 2.  ``G`` follows the
+    closed-form display convention ``K^T J^{-1} K - diag(h_gg, 0)`` with
+    ``J = hessian_B``; the residuals use ``G + w w^T / h_l_l`` instead, the
+    rank-one term coming from eliminating the dual variable
+    (``FluctuationParams.G_resid``).  This is the one route from saddle
+    partials to the constants of both models.
     """
-
-    E2: float
-    w: np.ndarray
-    K: np.ndarray
-    G: np.ndarray
-
-
-def generic_minimax_params(inp: GenericMinimaxInput) -> MinimaxExpansion:
-    """Assemble the second-order minimax coefficients from saddle derivatives."""
     d = inp.h_y_g.size
     w = np.array([inp.h_l_g, inp.h_g])
     L = np.column_stack([inp.h_y_g, np.zeros(d)])
     K = L - np.outer(inp.h_l_y, w) / inp.h_l_l
     G = K.T @ np.linalg.inv(inp.hessian_B) @ K - np.diag([inp.h_gg, 0.0])
-    return MinimaxExpansion(E2=inp.h_g, w=w, K=K, G=G)
+    return w, K, G
 
 
 # ---------------------------------------------------------------------------
@@ -908,8 +898,7 @@ def generic_minimax_params(inp: GenericMinimaxInput) -> MinimaxExpansion:
 
 def corollary_constants(k: int, h: float, beta: float) -> FluctuationParams:
     """Literal closed forms of the sphere fluctuation constants for degree 1 and 2."""
-    if not 0 < beta < math.inf:
-        raise ValueError(f"beta must be positive and finite, got {beta}")
+    check_beta(beta)
     if k == 1:
         if h == 0.0:
             raise InapplicableRegimeError("degree-1 constants need h != 0")

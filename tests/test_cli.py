@@ -13,7 +13,6 @@ import pytest
 import sklab
 import sklab.experiment_harness as harness
 from sklab.cli import (
-    _QUICK_KWARGS,
     CheckResult,
     SUITES,
     check_ball_pipeline,
@@ -28,8 +27,11 @@ from sklab.cli import (
     main,
     parse_spike,
 )
-from sklab.experiment_harness import ExperimentConfig, save_config
+from sklab.experiment_harness import ExperimentConfig
 from sklab.theory_engine import SpikeSpec
+
+#: the ``--quick`` keyword arguments of each check, by name
+QUICK_KWARGS = {fn.__name__: kw for checks in SUITES.values() for fn, kw in checks}
 
 
 def test_import_loads_no_scipy():
@@ -117,7 +119,7 @@ class TestSimulateCommand:
             spike=SpikeSpec.monomial(2.0, 1),
         )
         path = tmp_path / "config.json"
-        save_config(config, path)
+        path.write_text(json.dumps(config.to_dict()))
         assert main(["simulate", "--config", str(path)]) == 0
         assert "valid: 2" in capsys.readouterr().out
 
@@ -291,7 +293,7 @@ class TestVerifyCommand:
         def failing_check():
             return CheckResult("stub", False, "forced failure")
 
-        monkeypatch.setitem(SUITES, "crossref", [failing_check])
+        monkeypatch.setitem(SUITES, "crossref", [(failing_check, {})])
         assert main(["verify", "--suite", "crossref"]) == 1
         assert "FAIL — stub" in capsys.readouterr().out
 
@@ -318,37 +320,35 @@ class TestChecks:
         assert result.passed, result.detail
 
     def test_suites_cover_all_checks(self):
-        names = [fn.__name__ for fns in SUITES.values() for fn in fns]
+        names = [fn.__name__ for checks in SUITES.values() for fn, _ in checks]
         assert len(names) == len(set(names)) == 10
-        # a check missing from the table would run at full size under --quick
-        assert set(names) == set(_QUICK_KWARGS)
 
     @pytest.mark.parametrize(
         "check, kwargs, detail",
         [
             (
                 check_leading_order_lln,
-                _QUICK_KWARGS["check_leading_order_lln"],
+                QUICK_KWARGS["check_leading_order_lln"],
                 "19/20 trials within 0.05 of 3.0; |median - 3.0| = 0.0081 (tol 0.03)",
             ),
             (
                 check_first_order_clt,
-                _QUICK_KWARGS["check_first_order_clt"],
+                QUICK_KWARGS["check_first_order_clt"],
                 "var 0.3516 vs 0.3333 (±50%); mean 0.0078 vs 3se 0.1989",
             ),
             (
                 check_lambda_law,
-                _QUICK_KWARGS["check_lambda_law"],
+                QUICK_KWARGS["check_lambda_law"],
                 "mean 0.1952 vs 0.1464 (3se 0.1647); var 0.2411 vs 0.25 (±50%)",
             ),
             (
                 check_w_covariance,
-                _QUICK_KWARGS["check_w_covariance"],
+                QUICK_KWARGS["check_w_covariance"],
                 "relative errors (var, cov, var') [0.862, 2.526, 4.789] vs ±25% at n=300, M=78",
             ),
             (
                 check_sphere_residual_trend,
-                _QUICK_KWARGS["check_sphere_residual_trend"],
+                QUICK_KWARGS["check_sphere_residual_trend"],
                 "n=100: 1.542, n=600: 0.492",
             ),
             (
@@ -358,12 +358,12 @@ class TestChecks:
             ),
             (
                 check_crossref_constants,
-                _QUICK_KWARGS["check_crossref_constants"],
+                QUICK_KWARGS["check_crossref_constants"],
                 "max deviation 2.32e-14 over 10 draws per degree (tol 1e-10)",
             ),
             (
                 check_phase_boundaries,
-                _QUICK_KWARGS["check_phase_boundaries"],
+                QUICK_KWARGS["check_phase_boundaries"],
                 "max value tie gap 0.0e+00 (tol 1e-08); alignment threshold brackets at ±1% hold",
             ),
         ],

@@ -9,6 +9,7 @@ finite-size bias of the near-edge atoms small.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from scipy import stats as scipy_stats
 from sklab.fluctuation_lab import (
     FluctuationSample,
     aggregate,
-    alt_residual_sphere,
     compute_statistics,
     residual_ball,
     residual_sphere,
@@ -32,6 +32,7 @@ from sklab.rmt_core import (
     semicircle_transform,
 )
 from sklab.theory_engine import (
+    FluctuationParams,
     LeadingOrder,
     RadialSpec,
     SpikeSpec,
@@ -44,6 +45,22 @@ from sklab.theory_engine import (
 SPIKE = SpikeSpec.monomial(2.0, 1)
 LEAD = maximize_sphere_theory(SPIKE, 1.0)
 PAR = fluct_params_sphere(SPIKE, 1.0, LEAD)
+
+
+def alt_residual_sphere(
+    value: float,
+    stats: FluctuationSample,
+    leading: LeadingOrder,
+    params: FluctuationParams,
+) -> float:
+    """Sphere residual in the independent-summand statistics.
+
+    Uses the raw-gaussian statistics (X, X', Y) in place of (U, U'): the
+    change of weights introduces the extra order-one cross term
+    ``kappa X Y``.
+    """
+    swapped = replace(stats, U=stats.X, Uprime=stats.Xprime)
+    return residual_sphere(value, swapped, leading, params) + params.kappa * stats.X * stats.Y
 
 
 def exact_w_covariance(n: int, l: float) -> np.ndarray:

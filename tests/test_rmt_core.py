@@ -19,7 +19,6 @@ from sklab.rmt_core import (
     classical_locations,
     linear_stat_clt,
     resolvent_moment,
-    sample_goe,
     sample_spectral_model,
     semicircle_cdf,
     semicircle_transform,
@@ -200,6 +199,16 @@ def test_resolvent_moment_array_l_matches_scalar_calls(k):
 
 # ---------------------------------------------------------------------------
 # Sampling
+
+
+def sample_goe(n: int, seed: int) -> np.ndarray:
+    """The full GOE matrix of a seed: symmetric, ``Var(J_ii)=1``, ``Var(J_ij)=1/2``.
+
+    The reference for the sampler, which builds only one triangle of it
+    from the same Philox stream.
+    """
+    a = np.random.Generator(np.random.Philox(seed)).standard_normal((n, n))
+    return (a + a.T) / 2.0
 
 
 def test_sample_goe_deterministic_and_symmetric():

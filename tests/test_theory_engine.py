@@ -360,6 +360,18 @@ def test_critical_beta_marks_value_tie():
         assert abs(evaluate_B(0.0, bc, f) - lo.value) <= 1e-8
 
 
+@pytest.mark.parametrize(
+    "h",
+    [2.7032679318442248,  # 1 - beta^2/(2h^2) rounds below zero an ulp under beta_c
+     2.7818889431943044],  # and to zero exactly here
+)
+def test_quadratic_spike_an_ulp_below_beta_c_is_the_tie(h):
+    beta = math.nextafter(critical_betas(2, h)[0], 0.0)
+    lo = maximize_sphere_theory(SpikeSpec.monomial(h, 2), beta)
+    assert (lo.alpha_hat, lo.multiplicity, lo.reason) == (
+        0.0, "pair", "tied with zero-overlap state")
+
+
 def test_beta_tilde_kills_interior_point():
     f = SpikeSpec.monomial(1.0, 4)
     bc, bt = critical_betas(4, 1.0)
@@ -687,11 +699,11 @@ def test_generic_minimax_reproduces_sphere_closed_forms():
             h_l_y=np.array([-2 * b / a]),
             hessian_B=np.array([[b2]]),
         )
-        exp = generic_minimax_params(inp)
+        w, _, G = generic_minimax_params(inp)
         fp = fluct_params_sphere(f, b, lo)
-        assert exp.E2 == pytest.approx(fp.kappa, rel=1e-13)
-        assert np.allclose(exp.G, fp.G, rtol=1e-11)
-        G_resid = exp.G + np.outer(exp.w, exp.w) / inp.h_l_l
+        assert inp.h_g == pytest.approx(fp.kappa, rel=1e-13)
+        assert np.allclose(G, fp.G, rtol=1e-11)
+        G_resid = G + np.outer(w, w) / inp.h_l_l
         assert np.allclose(G_resid, fp.G_resid, rtol=1e-9, atol=1e-12)
 
 
@@ -729,9 +741,9 @@ def test_generic_minimax_K_factorization_on_ball():
             ]
         ),
     )
-    exp = generic_minimax_params(inp)
-    assert np.allclose(exp.K, K_pred, rtol=1e-9)
-    assert np.allclose(exp.G, fp.G, rtol=1e-11)
+    _, K, G = generic_minimax_params(inp)
+    assert np.allclose(K, K_pred, rtol=1e-9)
+    assert np.allclose(G, fp.G, rtol=1e-11)
 
 
 def test_minimax_input_validation():
