@@ -98,7 +98,8 @@ class ExperimentConfig:
     (``{"kind": "monomial", ...}``) spells no other spike.  ``radial`` is
     derived: the TAP radial term of the campaign's own ``beta`` for the
     ball, None for the sphere.  The config and sidecar formats still record
-    it, so an explicit value is accepted when it equals the derived one.
+    it, so an explicit value is accepted when it equals the derived one;
+    the solvers take the interval from ``beta`` and never read it.
     The format also records ``"sampling_mode": "invariance"``, the one
     sampler; ``from_dict`` rejects any other value.
     """
@@ -265,15 +266,12 @@ def _theory(
     The constants are None, with the reason, whenever the second-order
     description does not apply (zero overlap, flat curvature).
     """
-    if config.model == "sphere":
-        leading = maximize_sphere_theory(config.spike, config.beta)
-    else:
-        leading = maximize_ball_theory(config.spike, config.beta)
+    sphere = config.model == "sphere"
+    maximize = maximize_sphere_theory if sphere else maximize_ball_theory
+    fluct_params = fluct_params_sphere if sphere else fluct_params_ball
+    leading = maximize(config.spike, config.beta)
     try:
-        if config.model == "sphere":
-            params = fluct_params_sphere(config.spike, config.beta, leading)
-        else:
-            params = fluct_params_ball(config.spike, config.beta, leading)
+        params = fluct_params(config.spike, config.beta, leading)
     except InapplicableRegimeError as err:
         return leading, None, str(err)
     return leading, params, None
@@ -387,16 +385,11 @@ def _run_trial(
     def elapsed_ms() -> float:
         return (time.perf_counter() - start) * 1e3
 
+    sphere = config.model == "sphere"
     try:
         sample = sample_spectral_model(config.n, seed=seed)
-        if config.model == "sphere":
-            sol = solve_sphere(sample, config.beta, config.spike)
-            r_star = None
-        else:
-            lo, hi = config.radial.domain
-            # the endpoints of the Plefka interval are open
-            sol = solve_ball(sample, config.beta, config.spike, (lo + 1e-9, hi - 1e-9))
-            r_star = sol.r_star
+        solve = solve_sphere if sphere else solve_ball
+        sol = solve(sample, config.beta, config.spike)
     except _NUMERICAL_ERRORS:
         invalid = TrialRecord(trial_index, seed, config.n, *([None] * 12), False, elapsed_ms())
         return invalid, None
@@ -410,7 +403,7 @@ def _run_trial(
         except PoleError:
             valid = False
         if stats is not None and params is not None:
-            res_fn = residual_sphere if config.model == "sphere" else residual_ball
+            res_fn = residual_sphere if sphere else residual_ball
             residual = res_fn(sol.value, stats, leading, params)
 
     record = TrialRecord(
@@ -419,7 +412,7 @@ def _run_trial(
         n=config.n,
         value=sol.value,
         alpha_star=sol.alpha_star,
-        r_star=r_star,
+        r_star=sol.r_star,
         l_star=sol.l_star,
         U_N=stats.U if stats else None,
         Uprime_N=stats.Uprime if stats else None,

@@ -43,9 +43,8 @@ from .theory_engine import RadialSpec, SpikeSpec, check_beta, golden_max, grid_g
 from .theory_engine import _largest_root_decreasing, radial_search
 
 __all__ = [
+    "GroundState",
     "InnerResult",
-    "SphereSolve",
-    "BallSolve",
     "StationarityError",
     "inner_max",
     "oracle_direct",
@@ -79,24 +78,14 @@ class InnerResult:
 
 
 @dataclass
-class SphereSolve:
-    """Ground-state value and maximizer data on the unit sphere."""
+class GroundState:
+    """Ground-state value and maximizer data; ``r_star`` is None on the sphere."""
 
-    value: float  # extensive: n * max_alpha { f(alpha) + beta * inner(alpha) }
+    value: float  # extensive: n times the per-site maximum
     alpha_star: float
     l_star: float | None
     regime: Regime
-
-
-@dataclass
-class BallSolve:
-    """Ground-state value and maximizer data on a radial domain."""
-
-    value: float
-    alpha_star: float
-    r_star: float
-    l_star: float | None
-    regime: Regime
+    r_star: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +218,7 @@ def _best_state(sample: GoeSample, point, scan):
     return v, alpha, inner, l_star, regime
 
 
-def solve_sphere(sample: GoeSample, beta: float, f: SpikeSpec) -> SphereSolve:
+def solve_sphere(sample: GoeSample, beta: float, f: SpikeSpec) -> GroundState:
     """Maximize ``n * (f(alpha) + beta * inner(alpha))`` over the overlap.
 
     Along the dual curve the objective is ``f(+-|alpha|(l)) + beta inner(l)``;
@@ -244,26 +233,16 @@ def solve_sphere(sample: GoeSample, beta: float, f: SpikeSpec) -> SphereSolve:
     check_beta(beta)
     phi = lambda a, inner: f.value(a) + beta * inner
     best, alpha_star, _, l_star, regime = _best_state(sample, phi, phi)
-    return SphereSolve(
+    return GroundState(
         value=sample.n * best, alpha_star=alpha_star, l_star=l_star, regime=regime
     )
 
 
-def _radial_interval(R: tuple[float, float]) -> tuple[float, float]:
-    lo, hi = float(R[0]), float(R[1])
-    if not (0.0 <= lo <= hi):
-        raise ValueError(f"invalid radial interval ({lo}, {hi})")
-    return lo, hi
-
-
-def solve_ball(
-    sample: GoeSample, beta: float, f: SpikeSpec, R: tuple[float, float]
-) -> BallSolve:
+def solve_ball(sample: GoeSample, beta: float, f: SpikeSpec) -> GroundState:
     """Maximize ``n * (f(r alpha) + g(r) + beta r^2 inner(alpha))`` over overlap and radius.
 
-    ``g`` is the TAP radial term at ``beta``.  ``R = (lo, hi)`` is the
-    closed radial interval, ``0 <= lo <= hi``; pass an open end of the
-    Plefka interval nudged inward.  The overlap and inner value
+    ``g`` is the TAP radial term at ``beta``, and the radius runs over its
+    ``search_interval``, the Plefka interval.  The overlap and inner value
     run over the same states as in :func:`solve_sphere` (the dual curve per
     overlap sign, the plateau and ``alpha = +-1``); at each state the radius
     is maximized, at O(1) cost per radius, by
@@ -271,18 +250,14 @@ def solve_ball(
     problem uses too.  Exact ties are broken toward the side candidates, then
     toward the smaller overlap and radius.
     """
-    check_beta(beta)
-    radial, scan = radial_search(f, beta, _radial_interval(R))
+    radial, scan = radial_search(f, beta)
     best, alpha_star, inner, l_star, regime = _best_state(
         sample, lambda a, inner: radial(a, inner)[0], scan
     )
     _, r_star = radial(alpha_star, inner)
-    return BallSolve(
-        value=sample.n * best,
-        alpha_star=alpha_star,
+    return GroundState(
+        value=sample.n * best, alpha_star=alpha_star, l_star=l_star, regime=regime,
         r_star=r_star,
-        l_star=l_star,
-        regime=regime,
     )
 
 
@@ -294,16 +269,16 @@ def oracle_direct(
     sample: GoeSample,
     beta: float,
     f: SpikeSpec,
-    R: tuple[float, float] | None = None,
+    ball: bool = False,
     restarts: int = 32,
     seed: int = 0,
 ) -> float:
     """Projected-gradient ascent lower-bound witness for the ground state.
 
     Maximizes ``n (f(sigma . u) + beta sum_i lam_i sigma_i^2)`` of the
-    sample's diagonal model over the unit sphere, or, with ``R = (lo, hi)``
-    given, the ball objective (the TAP radial term at ``beta`` added) over
-    vectors with ``|m|`` in that closed interval.
+    sample's diagonal model over the unit sphere, or, with ``ball``, the
+    ball objective (the TAP radial term at ``beta`` added) over vectors
+    whose norm lies in the interval :func:`solve_ball` searches.
 
     Multi-start with deterministic warm starts (the spike, the top eigenvector)
     plus seeded random directions; up to 500 backtracking line-search steps
@@ -316,10 +291,9 @@ def oracle_direct(
     top_vec = np.zeros(n)
     top_vec[-1] = 1.0
 
-    ball = R is not None
     if ball:
-        r_lo, r_hi = _radial_interval(R)
         g = RadialSpec.tap(beta)
+        r_lo, r_hi = g.search_interval
 
     def objective(x: np.ndarray) -> float:
         if ball:
@@ -342,7 +316,7 @@ def oracle_direct(
             r = 1.0
         if not ball:
             return x / r
-        return x * (min(max(r, r_lo), r_hi) / r)  # clamp the radius into R
+        return x * (min(max(r, r_lo), r_hi) / r)  # clamp the radius into the interval
 
     starts = [u.copy(), -u.copy(), top_vec, -top_vec]
     while len(starts) < max(restarts, 4):

@@ -179,6 +179,12 @@ class RadialSpec:
     def domain(self) -> tuple[float, float]:
         return math.sqrt(self.plefka_q), 1.0
 
+    @property
+    def search_interval(self) -> tuple[float, float]:
+        """The radii both ball problems search: ``domain`` with its open ends nudged in."""
+        lo, hi = self.domain
+        return lo + 1e-9, hi - 1e-9
+
     def value(self, r):
         """``g(r)``; ``-inf`` for ``r >= 1``."""
         r = np.asarray(r, dtype=float)
@@ -611,19 +617,20 @@ def _ball_hessian(alpha: float, r: float, beta: float, f: SpikeSpec) -> np.ndarr
     return np.array([[b_aa, b_ar], [b_ar, b_rr]])
 
 
-def radial_search(f: SpikeSpec, beta: float, R: tuple[float, float]):
-    """Radius maximizer of ``f(r alpha) + g(r) + beta r^2 inner`` over ``R = (lo, hi)``.
+def radial_search(f: SpikeSpec, beta: float):
+    """Radius maximizer of ``f(r alpha) + g(r) + beta r^2 inner`` over the Plefka interval.
 
-    ``g`` is the TAP radial term at ``beta``.  Both ball problems use it:
+    ``g`` is the TAP radial term at ``beta``, and the radius runs over its
+    ``search_interval``.  Both ball problems use it:
     ``inner`` is the constrained quadratic maximum at finite n and
     ``sqrt(2 (1 - alpha^2))`` in the limit.  Returns
     ``(radial, scan)``: ``radial(alpha, inner)`` is the best ``(value, r)``,
-    a 201-point scan of the closed interval refined by golden-section search
+    a 201-point scan of the interval refined by golden-section search
     around its best point; ``scan(alphas, inners)`` is its lower bound on
     arrays of states, the best scanned radius.
     """
     g = RadialSpec.tap(beta)
-    rs = np.linspace(float(R[0]), float(R[1]), 201)
+    rs = np.linspace(*g.search_interval, 201)
     g_grid = g.value(rs)
 
     def objective(r, alpha, inner, gv):
@@ -646,8 +653,8 @@ def radial_search(f: SpikeSpec, beta: float, R: tuple[float, float]):
 
 def _maximize_ball_numeric(f: SpikeSpec, beta: float) -> LeadingOrder:
     g = RadialSpec.tap(beta)
-    r_lo, r_hi = g.domain
-    radial, scan = radial_search(f, beta, g.domain)
+    r_lo, r_hi = g.search_interval
+    radial, scan = radial_search(f, beta)
     alphas = np.linspace(-1.0, 1.0, 201)
     over_radius = lambda t: radial(t, _geometry(t)[1])[0]
     z_grid = np.sqrt(2.0 * (1.0 - alphas**2))
@@ -655,10 +662,7 @@ def _maximize_ball_numeric(f: SpikeSpec, beta: float) -> LeadingOrder:
     val, r = radial(a, _geometry(a)[1])
     fun = lambda a, r: float(evaluate_B_tilde(a, r, beta, f))
     # Newton polish on the gradient when strictly interior
-    interior = (
-        abs(a) < 1.0 - 1e-9 and r_lo + 1e-9 < r < r_hi - 1e-9 and abs(a) > 1e-9
-    )
-    if interior:
+    if 1e-9 < abs(a) < 1.0 - 1e-9 and r_lo < r < r_hi:
         for _ in range(60):
             one = 1.0 - a * a
             grad = np.array(
@@ -679,16 +683,16 @@ def _maximize_ball_numeric(f: SpikeSpec, beta: float) -> LeadingOrder:
             if np.max(np.abs(step)) < 1e-14:
                 break
         val = fun(a, r)
+    if abs(a) <= 1e-8 or (g.plefka_q == 0.0 and r <= r_lo):
+        # no overlap, or none defined at radius 0: the Plefka state, as in closed form
+        return LeadingOrder(0.0, SQRT2, SQRT2, val, "single", r_hat=g.domain[0],
+                            applicable=False, reason="zero-overlap maximizer")
     l_hat, z_hat = _geometry(a)
     lo = LeadingOrder(a, l_hat, z_hat, val, "single", r_hat=r)
-    mirrored = fun(-a, r)
-    if abs(a) > 1e-8 and abs(mirrored - val) <= 1e-9 * max(1.0, abs(val)):
+    if abs(fun(-a, r) - val) <= 1e-9 * max(1.0, abs(val)):
         lo.multiplicity = "pair"
         lo.alpha_hat = abs(a)
-    if abs(a) <= 1e-8:
-        lo.applicable = False
-        lo.reason = "zero-overlap maximizer"
-    elif not (r_lo + 1e-9 < r < r_hi - 1e-9):
+    if not r_lo < r < r_hi:
         lo.applicable = False
         lo.reason = "boundary maximizer"
     else:

@@ -327,8 +327,7 @@ class TestRunTrials:
                 sol = solve_sphere(sample, cfg.beta, cfg.spike)
                 residual = residual_sphere
             else:
-                lo, hi = cfg.radial.domain
-                sol = solve_ball(sample, cfg.beta, cfg.spike, (lo + 1e-9, hi - 1e-9))
+                sol = solve_ball(sample, cfg.beta, cfg.spike)
                 residual = residual_ball
             stats = compute_statistics(sample, lead.l_hat)
             assert rec.value == sol.value

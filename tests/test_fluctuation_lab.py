@@ -34,7 +34,6 @@ from sklab.rmt_core import (
 from sklab.theory_engine import (
     FluctuationParams,
     LeadingOrder,
-    RadialSpec,
     SpikeSpec,
     fluct_params_ball,
     fluct_params_sphere,
@@ -323,11 +322,10 @@ class TestResiduals:
         f = SpikeSpec.monomial(1.0, 1)
         lead = maximize_ball_theory(f, 1.0)
         par = fluct_params_ball(f, 1.0, lead)
-        dom = (RadialSpec.tap(1.0).domain[0] + 1e-9, 1.0 - 1e-9)
         res = []
         for seed in range(10):
             sample = sample_spectral_model(500, seed=3000 + seed)
-            sol = solve_ball(sample, 1.0, f, dom)
+            sol = solve_ball(sample, 1.0, f)
             try:
                 st_ = compute_statistics(sample, lead.l_hat)
             except PoleError:

@@ -33,17 +33,29 @@ COMMANDS = [
     ["simulate", "--model", "ball", "--n", "200", "--trials", "6", "--seed", "29",
      "--beta", "1", "--spike", "monomial:1:1", "--output", "{out}/ball", "--format", "json",
      "--parallelism", "2"],
+    # at beta = 0.5 the Plefka interval starts at r = 0
+    ["simulate", "--model", "ball", "--n", "200", "--trials", "6", "--seed", "29",
+     "--beta", "0.5", "--spike", "monomial:1:1", "--output", "{out}/ball_beta05",
+     "--format", "json", "--parallelism", "2"],
     ["phase", "--k", "4", "--h-min", "0.5", "--h-max", "2.5", "--h-steps", "5",
      "--beta-min", "0.5", "--beta-max", "2", "--beta-steps", "4", "--output", "{out}/phase.csv"],
 ]
 
-#: ``sklab theory --json`` calls, whose printed documents form ``theory.json``
-THEORY = [
-    ["theory", "--spike", f"monomial:{k}:{h}", "--beta", "1", "--json", *ball]
-    for ball in ([], ["--ball"])
-    for k in (1, 2, 3, 4)
-    for h in ("1.0", "1.5", "2.5")
-]
+#: ``sklab theory --json`` calls per file, which lists their printed documents
+THEORY = {
+    "theory.json": [
+        ["theory", "--spike", f"monomial:{k}:{h}", "--beta", "1", "--json", *ball]
+        for ball in ([], ["--ball"])
+        for k in (1, 2, 3, 4)
+        for h in ("1.0", "1.5", "2.5")
+    ],
+    # the ball from r = 0; h = 1.0 and 1.5 lie either side of tap_threshold for k = 3, 4
+    "theory_ball_beta05.json": [
+        ["theory", "--spike", f"monomial:{k}:{h}", "--beta", "0.5", "--json", "--ball"]
+        for k in (1, 2, 3, 4)
+        for h in ("1.0", "1.5")
+    ],
+}
 
 
 def _run(argv: list[str]) -> str:
@@ -60,13 +72,17 @@ def produce(out: str) -> None:
     """Write every golden file into the directory ``out``."""
     for argv in COMMANDS:
         _run([a.format(out=out) for a in argv])
-    theory = [{"argv": argv, "sidecar": json.loads(_run(argv))} for argv in THEORY]
-    with open(os.path.join(out, "theory.json"), "w", encoding="utf-8") as fh:
-        json.dump(theory, fh, indent=2)
-        fh.write("\n")
+    for name, calls in THEORY.items():
+        theory = [{"argv": argv, "sidecar": json.loads(_run(argv))} for argv in calls]
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            json.dump(theory, fh, indent=2)
+            fh.write("\n")
 
 
-FILES = ["sphere.csv", "sphere.summary.json", "ball.json", "phase.csv", "theory.json"]
+FILES = [
+    "sphere.csv", "sphere.summary.json", "ball.json", "ball_beta05.json", "phase.csv",
+    "theory.json", "theory_ball_beta05.json",
+]
 
 
 def _same_float(a: float, b: float) -> bool:

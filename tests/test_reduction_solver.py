@@ -192,21 +192,21 @@ def test_solve_sphere_lln_sanity():
 
 
 def test_solve_ball_reduces_to_sphere_at_unit_radius():
-    # pinned at radius r0, the ball is the unit-sphere problem with coupling
-    # beta r0^2 and spike h r0 x, shifted by n g(r0)
-    s = random_sample(7, 9)
+    # at its own radius r, the ball is the unit-sphere problem with coupling
+    # beta r^2 and spike h r x, shifted by n g(r)
     g = RadialSpec.tap(1.0)
-    for r0 in (0.6, 0.8, 0.95):
-        ball = solve_ball(s, 1.0, SpikeSpec.monomial(1.0, 1), (r0, r0))
-        sphere = solve_sphere(s, r0 * r0, SpikeSpec.monomial(r0, 1))
-        assert ball.r_star == r0
-        assert ball.value == pytest.approx(s.n * g.value(r0) + sphere.value, rel=1e-12)
+    for seed in (7, 8, 9):
+        s = random_sample(seed, 9)
+        ball = solve_ball(s, 1.0, SpikeSpec.monomial(1.0, 1))
+        r = ball.r_star
+        sphere = solve_sphere(s, r * r, SpikeSpec.monomial(r, 1))
+        assert ball.value == pytest.approx(s.n * g.value(r) + sphere.value, rel=1e-12)
 
 
 def test_solve_ball_lln_sanity():
     s = sample_spectral_model(400, seed=1)
     f = SpikeSpec.monomial(1.0, 1)
-    sol = solve_ball(s, 1.0, f, (RadialSpec.tap(1.0).domain[0], 1.0 - 1e-9))
+    sol = solve_ball(s, 1.0, f)
     lo = maximize_ball_theory(f, 1.0)
     assert sol.value / s.n == pytest.approx(lo.value, abs=0.08)
     assert sol.r_star == pytest.approx(lo.r_hat, abs=0.1)
@@ -215,24 +215,21 @@ def test_solve_ball_lln_sanity():
 
 def test_solve_ball_matches_direct_oracle():
     f = SpikeSpec.monomial(1.0, 1)
-    R = (RadialSpec.tap(1.0).domain[0], 1.0 - 1e-9)
     for seed in range(3):
         s = sample_spectral_model(6, seed=100 + seed)
-        sol = solve_ball(s, 1.0, f, R)
-        direct = oracle_direct(s, 1.0, f, R=R, restarts=24, seed=seed)
+        sol = solve_ball(s, 1.0, f)
+        direct = oracle_direct(s, 1.0, f, ball=True, restarts=24, seed=seed)
         assert sol.value == pytest.approx(direct, abs=1e-5)
 
 
 def test_solve_ball_rejects_bad_domain():
     s = random_sample(1, 4)
     f = SpikeSpec.monomial(1.0, 1)
-    with pytest.raises(ValueError):
-        solve_ball(s, 1.0, f, (-0.2, 0.5))
     for beta in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             solve_sphere(s, beta, f)
         with pytest.raises(ValueError):
-            solve_ball(s, beta, f, (0.6, 0.9))
+            solve_ball(s, beta, f)
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +395,8 @@ def test_solve_sphere_matches_trust_region_at_n300(seed):
 def test_solve_ball_reaches_joint_maximum():
     # the radius and overlap are maximized jointly, not coordinate-wise
     s = sample_spectral_model(100, seed=4)
-    lo, hi = RadialSpec.tap(1.0).domain[0] + 1e-9, 1.0 - 1e-9
-    sol = solve_ball(s, 1.0, SpikeSpec.monomial(1.0, 1), (lo, hi))
+    lo, hi = RadialSpec.tap(1.0).search_interval
+    sol = solve_ball(s, 1.0, SpikeSpec.monomial(1.0, 1))
     assert sol.value / s.n == pytest.approx(tap_ball_max(s, 1.0, 1.0, lo, hi), abs=1e-10)
 
 

@@ -12,6 +12,7 @@ from sklab.theory_engine import (
     MAX_DEGREE,
     GenericMinimaxInput,
     InapplicableRegimeError,
+    LeadingOrder,
     RadialSpec,
     SpikeSpec,
     _plefka_F,
@@ -555,6 +556,49 @@ def test_ball_numeric_path_non_monomial_spike():
     assert lo.r_hat == pytest.approx(r_ref, abs=1e-7)
 
 
+@pytest.mark.parametrize("coeffs, h, k, beta", [
+    ([0, 0, 0, 1], 1.0, 3, 0.3),
+    ([0, 0, 0, 1], 1.0, 3, 0.6),
+    ([0, 0, 0, 0, 1], 1.0, 4, 0.5),
+    ([0, 0, 1], 1.0, 2, 2.0),
+    ([0, 0, -1], -1.0, 2, 1.0),
+    ([0], 0.0, 1, 1.0),
+])
+def test_ball_numeric_plefka_state_matches_closed_form(coeffs, h, k, beta):
+    # the maximizer is the Plefka state: no overlap, or radius 0 (beta <=
+    # 1/sqrt2), where the overlap is undefined
+    f = SpikeSpec.polynomial(coeffs)
+    lo_n = maximize_ball_theory(f, beta)
+    lo_c = maximize_ball_theory(SpikeSpec.monomial(h, k), beta)
+    for field in ("applicable", "multiplicity", "alpha_hat", "r_hat"):
+        assert getattr(lo_n, field) == getattr(lo_c, field), field
+    assert lo_n.value == pytest.approx(lo_c.value, abs=1e-12)
+    with pytest.raises(InapplicableRegimeError):
+        fluct_params_ball(f, beta)
+
+
+@pytest.mark.parametrize("h, k, beta, ball", [
+    (-1.5, 1, 1.0, True),  # ball: the mirror at odd k
+    (-1.5, 3, 1.0, True),
+    (-2.0, 3, 0.6, True),
+    (-1.0, 2, 1.0, True),  # ball: h <= 0 at even k, and h = 0
+    (-2.5, 4, 1.0, True),
+    (0.0, 3, 1.0, True),
+    (1.0, 3, 0.1, True),  # ball: just above tap_threshold (0.982)
+    (0.0, 1, 1.0, False),  # sphere: h = 0, h < 0 at even k, k = 2 above beta_c
+    (-1.0, 2, 1.0, False),
+    (1.0, 2, 1.5, False),
+])
+def test_monomial_branches_match_the_numeric_path(h, k, beta, ball):
+    maximize = maximize_ball_theory if ball else maximize_sphere_theory
+    mono = SpikeSpec.monomial(h, k)
+    lo_c = maximize(mono, beta)
+    lo_n = maximize(SpikeSpec.polynomial(mono.coeffs), beta)
+    assert lo_n.applicable == lo_c.applicable
+    assert lo_n.value == pytest.approx(lo_c.value, abs=1e-12)
+    assert lo_n.alpha_hat == pytest.approx(lo_c.alpha_hat, abs=1e-6)
+
+
 # ---------------------------------------------------------------------------
 # Limit laws and fluctuation constants
 
@@ -673,6 +717,15 @@ def test_inapplicable_regime_raises():
         fluct_params_ball(SpikeSpec.monomial(0.4, 2), 1.0)
     with pytest.raises(InapplicableRegimeError):
         corollary_constants(2, 1.0, 2.0)
+
+
+def test_fluct_params_sphere_rejects_positive_curvature():
+    # an applicable leading order where B'' > 0: k = 2, h = beta = 1, alpha = 0.1
+    f, a = SpikeSpec.monomial(1.0, 2), 0.1
+    z = math.sqrt(2.0 * (1.0 - a * a))
+    lead = LeadingOrder(a, (2.0 - a * a) / z, z, float(evaluate_B(a, 1.0, f)), "single")
+    with pytest.raises(InapplicableRegimeError, match="not negative definite"):
+        fluct_params_sphere(f, 1.0, lead)
 
 
 def test_ball_fluct_params_linear_frozen():
