@@ -94,8 +94,9 @@ def derive_seed(master: int, trial_index: int) -> int:
 class ExperimentConfig:
     """Declarative description of a Monte Carlo campaign.
 
-    Only monomial spikes are allowed here, because the config format
-    (``{"kind": "monomial", ...}``) spells no other spike.  ``radial`` is
+    Campaigns take monomial spikes only, by choice: the spike format also
+    spells polynomials (``{"kind": "polynomial", "coeffs": [...]}``), but
+    opening campaigns to them is ROADMAP item 4.  ``radial`` is
     derived: the TAP radial term of the campaign's own ``beta`` for the
     ball, None for the sphere.  The config and sidecar formats still record
     it, so an explicit value is accepted when it equals the derived one;

@@ -320,12 +320,8 @@ def _maximize_sphere_monomial(f: SpikeSpec, beta: float) -> LeadingOrder:
     h, k = f.h, f.k
     if h == 0.0:
         return _zero_overlap_leading(beta, f, "zero-overlap maximizer (no spike)")
-    if h < 0.0:
-        if k % 2 == 0:
-            return _zero_overlap_leading(beta, f, "zero-overlap maximizer (h < 0)")
-        mirror = _maximize_sphere_monomial(SpikeSpec.monomial(-h, k), beta)
-        mirror.alpha_hat = -mirror.alpha_hat
-        return mirror
+    if h < 0.0:  # even k: _maximize mirrors the odd ones
+        return _zero_overlap_leading(beta, f, "zero-overlap maximizer (h < 0)")
     if k == 1:
         d = h * h + 2.0 * beta * beta
         a = h / math.sqrt(d)
@@ -415,44 +411,82 @@ def grid_golden_max(fun, grid: np.ndarray, values: np.ndarray, top: int = 3):
     return min(cands, key=lambda c: (-c[1], c[0]))
 
 
-def _maximize_sphere_numeric(f: SpikeSpec, beta: float) -> LeadingOrder:
-    grid = np.linspace(-1.0, 1.0, 2001)
-    fun = lambda t: float(evaluate_B(t, beta, f))
-    a, val = grid_golden_max(fun, grid, evaluate_B(grid, beta, f))
-    # stationarity polish when strictly interior
-    if abs(a) < 1.0 - 1e-9:
-        for _ in range(50):
-            one = 1.0 - a * a
-            b1 = float(f.d1(a)) - SQRT2 * beta * a / math.sqrt(one)
-            b2 = _sphere_B_second(a, beta, f)
-            if b2 >= 0.0 or abs(b1) < 1e-14:
+def _negative_definite(m) -> bool:
+    """Whether the symmetric matrix ``m`` has only negative eigenvalues."""
+    return bool(np.all(np.linalg.eigvalsh(m) < 0.0))
+
+
+def _numeric_leading(y, fun, grad, hess, zero, radii=None) -> LeadingOrder:
+    """Newton-polish and classify ``y``, the best scanned point of a limit functional.
+
+    ``y`` is ``(overlap,)`` on the sphere and ``(overlap, radius)`` on the
+    ball, radius in ``radii``; ``fun``, ``grad`` and ``hess`` take its
+    coordinates.  Zero overlap, or a value within 1e-12 (relative) of the
+    zero-overlap (Plefka) state ``zero(reason)``, returns that state flagged.
+    A stationary mirror ``-overlap`` of equal value makes a pair; a point on
+    the boundary or with a Hessian not negative definite is flagged.
+    """
+    box = [(-1.0 + 1e-9, 1.0 - 1e-9)] + ([radii] if radii else [])
+    inside = lambda y: all(lo < v < hi for v, (lo, hi) in zip(y, box))
+    y = np.array(y, dtype=float)
+    if inside(y) and abs(y[0]) > 1e-9:
+        for _ in range(60):
+            hy = hess(*y)
+            if not _negative_definite(hy):
                 break
-            step = b1 / b2
-            if abs(step) > 1e-2:
+            step = np.linalg.solve(hy, grad(*y))
+            if not np.max(np.abs(step)) <= 1e-2:
                 break
-            a -= step
-        val = fun(a)
-    l_hat, z_hat = _geometry(a)
-    lo = LeadingOrder(a, l_hat, z_hat, val, "single")
-    # detect a symmetric partner
-    if abs(a) > 1e-8:
-        mirrored = fun(-a)
-        one = 1.0 - a * a
-        slope = abs(float(f.d1(-a)) + SQRT2 * beta * a / math.sqrt(one)) if one > 0 else 1.0
-        if abs(mirrored - val) <= 1e-9 * max(1.0, abs(val)) and slope <= 1e-6:
-            lo.multiplicity = "pair"
-            if lo.alpha_hat < 0:
-                lo.alpha_hat = abs(lo.alpha_hat)
+            y -= step
+            if np.max(np.abs(step)) < 1e-14:
+                break
+    a, *r = map(float, y)
+    val = fun(a, *r)
     if abs(a) <= 1e-8:
+        return zero("zero-overlap maximizer")
+    tied = zero("tied with zero-overlap state")
+    if val <= tied.value + 1e-12 * max(1.0, abs(val)):
+        return tied
+    l_hat, z_hat = _geometry(a)
+    lo = LeadingOrder(a, l_hat, z_hat, val, "single", r_hat=r[0] if r else None)
+    if (abs(fun(-a, *r) - val) <= 1e-9 * max(1.0, abs(val))
+            and np.max(np.abs(grad(-a, *r))) <= 1e-6):
+        lo.multiplicity = "pair"
+        lo.alpha_hat = abs(a)
+    if not inside((a, *r)):
         lo.applicable = False
-        lo.reason = "zero-overlap maximizer"
-    elif abs(a) >= 1.0 - 1e-9:
-        lo.applicable = False
-        lo.reason = "full-alignment maximizer"
-    elif _sphere_B_second(lo.alpha_hat, beta, f) >= 0.0:
+        lo.reason = "boundary maximizer"
+    elif not _negative_definite(hess(lo.alpha_hat, *r)):
         lo.applicable = False
         lo.reason = "degenerate curvature at maximizer"
     return lo
+
+
+def _maximize(f: SpikeSpec, beta: float, monomial, numeric) -> LeadingOrder:
+    """Solve ``f`` by its ``monomial`` closed form or its ``numeric`` path.
+
+    An odd monomial with ``h < 0`` is the mirror image of its ``-h`` twin.
+    """
+    check_beta(beta)
+    if f.kind != "monomial":
+        return numeric(f, beta)
+    if f.h < 0.0 and f.k % 2 == 1:
+        mirror = monomial(SpikeSpec.monomial(-f.h, f.k), beta)
+        mirror.alpha_hat = -mirror.alpha_hat
+        return mirror
+    return monomial(f, beta)
+
+
+def _maximize_sphere_numeric(f: SpikeSpec, beta: float) -> LeadingOrder:
+    grid = np.linspace(-1.0, 1.0, 2001)
+    fun = lambda a: float(evaluate_B(a, beta, f))
+    a, _ = grid_golden_max(fun, grid, evaluate_B(grid, beta, f))
+    return _numeric_leading(
+        (a,), fun,
+        lambda a: [float(f.d1(a)) - SQRT2 * beta * a / math.sqrt(1.0 - a * a)],
+        lambda a: [[_sphere_B_second(a, beta, f)]],
+        lambda reason: _zero_overlap_leading(beta, f, reason),
+    )
 
 
 def maximize_sphere_theory(f: SpikeSpec, beta: float) -> LeadingOrder:
@@ -462,12 +496,11 @@ def maximize_sphere_theory(f: SpikeSpec, beta: float) -> LeadingOrder:
     ``critical_betas``); otherwise a 2001-point grid with golden-section and
     Newton polish.  A zero-overlap or tied maximizer is returned flagged
     ``applicable=False`` rather than raising, since the leading order is
-    still perfectly well defined there.
+    still perfectly well defined there.  At a tie the numeric path reports
+    the zero-overlap state; the closed forms report it at degree 2 and the
+    interior state from degree 3.
     """
-    check_beta(beta)
-    if f.kind == "monomial":
-        return _maximize_sphere_monomial(f, beta)
-    return _maximize_sphere_numeric(f, beta)
+    return _maximize(f, beta, _maximize_sphere_monomial, _maximize_sphere_numeric)
 
 
 # ---------------------------------------------------------------------------
@@ -517,12 +550,12 @@ def tap_threshold(k: int, beta: float) -> float:
     return -neg_best
 
 
-def _boundary_leading(beta: float, reason: str) -> LeadingOrder:
+def _boundary_leading(beta: float, f: SpikeSpec, reason: str) -> LeadingOrder:
     return LeadingOrder(
         alpha_hat=0.0,
         l_hat=SQRT2,
         z_hat=SQRT2,
-        value=_plefka_F(beta),
+        value=_plefka_F(beta) + float(f.value(0.0)),
         multiplicity="single",
         r_hat=RadialSpec.tap(beta).domain[0],
         applicable=False,
@@ -533,12 +566,8 @@ def _boundary_leading(beta: float, reason: str) -> LeadingOrder:
 def _maximize_ball_tap_monomial(f: SpikeSpec, beta: float) -> LeadingOrder:
     h, k = f.h, f.k
     q_p = RadialSpec.tap(beta).plefka_q
-    if h <= 0.0:
-        if h < 0.0 and k % 2 == 1:
-            mirror = _maximize_ball_tap_monomial(SpikeSpec.monomial(-h, k), beta)
-            mirror.alpha_hat = -mirror.alpha_hat
-            return mirror
-        return _boundary_leading(beta, "zero-overlap boundary maximizer")
+    if h <= 0.0:  # h < 0 at even k: _maximize mirrors the odd ones
+        return _boundary_leading(beta, f, "zero-overlap boundary maximizer")
     if k == 1:
         b2 = beta * beta
 
@@ -549,7 +578,7 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, beta: float) -> LeadingOrder:
 
         lo_q, hi_q = q_p + 1e-15, 1.0 - 1e-15
         if slope(lo_q) <= 0.0:  # concave objective already decreasing
-            return _boundary_leading(beta, "boundary maximizer")
+            return _boundary_leading(beta, f, "boundary maximizer")
         q_hat = _largest_root_decreasing(slope, lo_q, hi_q, tol=1e-15)
         r_hat = math.sqrt(q_hat)
         a = h / math.sqrt(h * h + 2.0 * b2 * q_hat)
@@ -565,7 +594,7 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, beta: float) -> LeadingOrder:
                 if beta == SQRT2 * h and h > 0.5
                 else "zero-overlap boundary maximizer"
             )
-            return _boundary_leading(beta, reason)
+            return _boundary_leading(beta, f, reason)
         r_hat = math.sqrt(1.0 - 1.0 / (2.0 * h))
         a = math.sqrt(1.0 - beta * beta / (2.0 * h * h))
         l_hat, z_hat = _geometry(a)
@@ -577,7 +606,7 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, beta: float) -> LeadingOrder:
     h_c = tap_threshold(k, beta)
     if h <= h_c:
         reason = "tied interior/boundary state" if h == h_c else "boundary maximizer"
-        return _boundary_leading(beta, reason)
+        return _boundary_leading(beta, f, reason)
     b2 = beta * beta
 
     def t_of_q(q: float) -> float:
@@ -592,7 +621,7 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, beta: float) -> LeadingOrder:
     peak_q, peak_v = golden_max(t_of_q, lo_q + 1e-12, 1.0 - 1e-12, tol=1e-13)
     target = 1.0 / (h * k)
     if peak_v < target:
-        return _boundary_leading(beta, "no interior critical point")
+        return _boundary_leading(beta, f, "no interior critical point")
     q_hat = _largest_root_decreasing(
         lambda q: t_of_q(q) - target, peak_q, 1.0 - 1e-15, tol=1e-15
     )
@@ -653,54 +682,25 @@ def radial_search(f: SpikeSpec, beta: float):
 
 def _maximize_ball_numeric(f: SpikeSpec, beta: float) -> LeadingOrder:
     g = RadialSpec.tap(beta)
-    r_lo, r_hi = g.search_interval
     radial, scan = radial_search(f, beta)
     alphas = np.linspace(-1.0, 1.0, 201)
     over_radius = lambda t: radial(t, _geometry(t)[1])[0]
     z_grid = np.sqrt(2.0 * (1.0 - alphas**2))
     a, _ = grid_golden_max(over_radius, alphas, scan(alphas, z_grid))
-    val, r = radial(a, _geometry(a)[1])
-    fun = lambda a, r: float(evaluate_B_tilde(a, r, beta, f))
-    # Newton polish on the gradient when strictly interior
-    if 1e-9 < abs(a) < 1.0 - 1e-9 and r_lo < r < r_hi:
-        for _ in range(60):
-            one = 1.0 - a * a
-            grad = np.array(
-                [
-                    float(f.d1(r * a)) * r - SQRT2 * beta * r * r * a / math.sqrt(one),
-                    float(f.d1(r * a)) * a + float(g.d1(r))
-                    + 2.0 * SQRT2 * beta * r * math.sqrt(one),
-                ]
-            )
-            hess = _ball_hessian(a, r, beta, f)
-            try:
-                step = np.linalg.solve(hess, grad)
-            except np.linalg.LinAlgError:
-                break
-            if not np.all(np.isfinite(step)) or np.max(np.abs(step)) > 1e-2:
-                break
-            a, r = a - step[0], r - step[1]
-            if np.max(np.abs(step)) < 1e-14:
-                break
-        val = fun(a, r)
-    if abs(a) <= 1e-8 or (g.plefka_q == 0.0 and r <= r_lo):
-        # no overlap, or none defined at radius 0: the Plefka state, as in closed form
-        return LeadingOrder(0.0, SQRT2, SQRT2, val, "single", r_hat=g.domain[0],
-                            applicable=False, reason="zero-overlap maximizer")
-    l_hat, z_hat = _geometry(a)
-    lo = LeadingOrder(a, l_hat, z_hat, val, "single", r_hat=r)
-    if abs(fun(-a, r) - val) <= 1e-9 * max(1.0, abs(val)):
-        lo.multiplicity = "pair"
-        lo.alpha_hat = abs(a)
-    if not r_lo < r < r_hi:
-        lo.applicable = False
-        lo.reason = "boundary maximizer"
-    else:
-        hess = _ball_hessian(lo.alpha_hat, r, beta, f)
-        if not (np.trace(hess) < 0 and np.linalg.det(hess) > 0):
-            lo.applicable = False
-            lo.reason = "degenerate curvature at maximizer"
-    return lo
+    r = radial(a, _geometry(a)[1])[1]
+    if g.plefka_q == 0.0 and r <= g.search_interval[0]:
+        a = 0.0  # no overlap is defined at radius 0: the Plefka state
+
+    def grad(a: float, r: float) -> list[float]:
+        root, f1 = math.sqrt(1.0 - a * a), float(f.d1(r * a))
+        return [f1 * r - SQRT2 * beta * r * r * a / root,
+                f1 * a + g.d1(r) + 2.0 * SQRT2 * beta * r * root]
+
+    return _numeric_leading(
+        (a, r), lambda a, r: float(evaluate_B_tilde(a, r, beta, f)), grad,
+        lambda a, r: _ball_hessian(a, r, beta, f),
+        lambda reason: _boundary_leading(beta, f, reason), g.search_interval,
+    )
 
 
 def maximize_ball_theory(f: SpikeSpec, beta: float) -> LeadingOrder:
@@ -711,12 +711,10 @@ def maximize_ball_theory(f: SpikeSpec, beta: float) -> LeadingOrder:
     numeric path: a 201-point overlap grid, each point maximized over the
     radius by :func:`radial_search`, refined by golden-section search and
     Newton polish; it never calls ``tap_threshold``.  Boundary or zero-overlap
-    maximizers are returned flagged.
+    maximizers are returned flagged; at a tie both paths report the Plefka
+    state.
     """
-    check_beta(beta)
-    if f.kind == "monomial":
-        return _maximize_ball_tap_monomial(f, beta)
-    return _maximize_ball_numeric(f, beta)
+    return _maximize(f, beta, _maximize_ball_tap_monomial, _maximize_ball_numeric)
 
 
 # ---------------------------------------------------------------------------
@@ -758,12 +756,18 @@ class FluctuationParams:
         return self.G + np.outer(self.w, self.w) / self.h_ll
 
 
-def _fluct_params(inp: GenericMinimaxInput, alpha_hat: float) -> FluctuationParams:
-    """Expand the saddle ``inp``; the statistics' limit laws depend on the overlap only."""
-    if not np.all(np.linalg.eigvalsh(inp.hessian_B) < 0.0):
+def _fluct_params(f: SpikeSpec, beta: float, leading: LeadingOrder | None,
+                  maximize, saddle) -> FluctuationParams:
+    """Expand ``saddle`` at ``leading`` (``maximize``'s if None); laws need the overlap only."""
+    if leading is None:
+        leading = maximize(f, beta)
+    if not leading.applicable:
+        raise InapplicableRegimeError(leading.reason or "inapplicable leading order")
+    inp = saddle(f, beta, leading)
+    if not _negative_definite(inp.hessian_B):
         raise InapplicableRegimeError("Hessian at the maximizer is not negative definite")
     w, _, G = generic_minimax_params(inp)
-    a2 = alpha_hat * alpha_hat
+    a2 = leading.alpha_hat * leading.alpha_hat
     z = math.sqrt(2.0 * (1.0 - a2))
     return FluctuationParams(
         kappa=inp.h_g,
@@ -801,11 +805,7 @@ def fluct_params_sphere(
     Requires an applicable leading order (interior nonzero overlap, strictly
     negative curvature); raises ``InapplicableRegimeError`` otherwise.
     """
-    if leading is None:
-        leading = maximize_sphere_theory(f, beta)
-    if not leading.applicable:
-        raise InapplicableRegimeError(leading.reason or "inapplicable leading order")
-    return _fluct_params(sphere_saddle(f, beta, leading), leading.alpha_hat)
+    return _fluct_params(f, beta, leading, maximize_sphere_theory, sphere_saddle)
 
 
 def ball_saddle(f: SpikeSpec, beta: float, leading: LeadingOrder) -> GenericMinimaxInput:
@@ -837,11 +837,7 @@ def fluct_params_ball(
     Requires an applicable leading order with a negative definite Hessian;
     raises ``InapplicableRegimeError`` otherwise.
     """
-    if leading is None:
-        leading = maximize_ball_theory(f, beta)
-    if not leading.applicable:
-        raise InapplicableRegimeError(leading.reason or "inapplicable leading order")
-    return _fluct_params(ball_saddle(f, beta, leading), leading.alpha_hat)
+    return _fluct_params(f, beta, leading, maximize_ball_theory, ball_saddle)
 
 
 # ---------------------------------------------------------------------------

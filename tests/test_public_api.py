@@ -1,8 +1,10 @@
-"""Every public name of ``sklab`` has a caller inside the package.
+"""Every public name and every private helper of ``sklab`` has a caller inside the package.
 
-A name in a module's ``__all__`` counts as used when some module of
+A name in a module's ``__all__``, or a module-level function or class whose
+name starts with an underscore, counts as used when some module of
 ``src/sklab`` loads it, imports it or reads it as an attribute; a mention in
-a docstring does not count.  Code that only tests call belongs in the tests.
+a docstring does not count.  Code that only tests call belongs in the tests,
+and a helper that a refactor leaves without a caller is deleted with it.
 """
 
 import ast
@@ -58,3 +60,23 @@ def test_every_public_name_has_a_caller_in_the_package():
     assert sorted(name.split(":")[1] for name in unused) == sorted(ALLOWED_UNUSED), (
         f"public names without a caller in the package: {sorted(unused)}"
     )
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    return [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.startswith("__")
+    ]
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    modules = _modules()
+    used = set().union(*map(_used_names, modules.values()))
+    orphans = sorted(
+        f"{module}:{name}"
+        for module, tree in modules.items()
+        for name in _private_definitions(tree)
+        if name not in used
+    )
+    assert not orphans, f"private helpers without a caller in the package: {orphans}"

@@ -551,6 +551,8 @@ def test_ball_numeric_path_non_monomial_spike():
     assert v_ref == pytest.approx(0.7160533008525573, abs=1e-12)
     lo = maximize_ball_theory(f, 1.0)
     assert lo.applicable and lo.multiplicity == "single"
+    for field in ("alpha_hat", "l_hat", "z_hat", "value", "r_hat"):
+        assert type(getattr(lo, field)) is float, field
     assert lo.value == pytest.approx(v_ref, abs=1e-12)
     assert lo.alpha_hat == pytest.approx(a_ref, abs=1e-7)
     assert lo.r_hat == pytest.approx(r_ref, abs=1e-7)
@@ -597,6 +599,30 @@ def test_monomial_branches_match_the_numeric_path(h, k, beta, ball):
     assert lo_n.applicable == lo_c.applicable
     assert lo_n.value == pytest.approx(lo_c.value, abs=1e-12)
     assert lo_n.alpha_hat == pytest.approx(lo_c.alpha_hat, abs=1e-6)
+
+
+@pytest.mark.parametrize("coeffs, beta, ball", [
+    ([0, 0, 1], SQRT2, False),  # sphere: beta_c of x^2
+    ([0, 0, 0, 0, 1], critical_betas(4, 1.0)[0], False),  # and of x^4
+    ([0, 0, 1], SQRT2, True),  # ball: beta = sqrt2 h at degree 2
+    ([0, 0, 2], 2 * SQRT2, True),
+    ([0, 0, 0, tap_threshold(3, 1.0)], 1.0, True),  # h = h_c at degree 3
+])
+def test_numeric_path_flags_the_critical_coupling_tie(coeffs, beta, ball):
+    # the closed forms disagree on which tied state they report, so only the
+    # flag, the value and the refusal of the fluctuation constants are compared
+    maximize, fluct_params = (
+        (maximize_ball_theory, fluct_params_ball) if ball
+        else (maximize_sphere_theory, fluct_params_sphere))
+    mono = SpikeSpec.monomial(coeffs[-1], len(coeffs) - 1)
+    lo_c = maximize(mono, beta)
+    assert "tied" in lo_c.reason
+    lo_n = maximize(SpikeSpec.polynomial(coeffs), beta)
+    assert lo_n.applicable == lo_c.applicable
+    assert lo_n.value == pytest.approx(lo_c.value, abs=1e-12)
+    for spike in (mono, SpikeSpec.polynomial(coeffs)):
+        with pytest.raises(InapplicableRegimeError):
+            fluct_params(spike, beta)
 
 
 # ---------------------------------------------------------------------------
