@@ -21,8 +21,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +37,7 @@ from .fluctuation_lab import compute_statistics
 from .reduction_solver import oracle_direct, solve_sphere
 from .rmt_core import linear_stat_clt, sample_spectral_model
 from .theory_engine import (
+    FluctuationParams,
     SpikeSpec,
     ball_saddle,
     check_degree,
@@ -80,24 +80,20 @@ class CheckResult:
         return f"{'PASS' if self.passed else 'FAIL'} — {self.name}: {self.detail}"
 
 
-def _oracle_gap(n: int, beta: float, coeff: float, seed: int) -> float:
+def _oracle_gap(seed: int) -> float:
     """Per-site gap between the reduced solver and the direct ascent on one draw."""
-    spike = SpikeSpec.monomial(coeff, 1)
+    n, beta, spike = 6, 1.0, SpikeSpec.monomial(0.7, 1)
     sample = sample_spectral_model(n, seed=seed)
     sol = solve_sphere(sample, beta, spike)
     return abs(sol.value - oracle_direct(sample, beta, spike)) / n
 
 
-def check_oracle_equivalence(
-    instances: int = 100, n: int = 6, beta: float = 1.0, coeff: float = 0.7,
-    tol: float = 1e-6,
-) -> CheckResult:
+def check_oracle_equivalence(instances: int = 100) -> CheckResult:
     """Reduced solver vs direct ascent witness on small random instances."""
+    tol = 1e-6
     start = time.perf_counter()
-    seeds = range(10_000, 10_000 + instances)
     # two one-thread workers, as in _gate_trials
-    gaps = pool_map(2, _oracle_gap, repeat(n), repeat(beta), repeat(coeff), seeds)
-    worst = max(gaps)
+    worst = max(pool_map(2, _oracle_gap, range(10_000, 10_000 + instances)))
     elapsed = time.perf_counter() - start
     return CheckResult(
         "oracle equivalence",
@@ -107,8 +103,9 @@ def check_oracle_equivalence(
     )
 
 
-def check_clt_quadrature(draws: int = 10_000, n: int = 200) -> CheckResult:
+def check_clt_quadrature(draws: int = 10_000) -> CheckResult:
     """Quadrature values of the linear-statistic CLT vs a trace Monte Carlo."""
+    n = 200
     mean, var = linear_stat_clt(lambda x: x, lambda x: 1.0)
     exact_ok = abs(mean) <= 1e-8 and abs(var - 1.0) <= 1e-8
     traces = np.empty(draws)
@@ -142,11 +139,11 @@ def _gate_trials(model: str, beta: float, n: int, trials: int, seed_base: int) -
 
 
 def check_leading_order_lln(
-    n: int = 2000, trials: int = 100, band: float = 0.05, min_within: int = 95,
-    median_tol: float = 0.01,
+    n: int = 2000, trials: int = 100, min_within: int = 95, median_tol: float = 0.01,
 ) -> CheckResult:
     """Ground state per coordinate concentrates on the limit value 3."""
     target = 3.0  # sqrt(h^2 + 2 beta^2) at h=1, beta=2
+    band = 0.05
     _, _, records = _gate_trials("sphere", 2.0, n, trials, 20_000)
     vals = np.array([r.value / n for r in records if r.value is not None])
     within = int(np.sum(np.abs(vals - target) <= band))
@@ -180,22 +177,21 @@ def check_first_order_clt(
     )
 
 
-def _trace_error(n: int, l: float, seed: int) -> float:
-    """The trace-error statistic of one sampled draw at the point ``l``."""
+def _trace_error(n: int, seed: int) -> float:
+    """The trace-error statistic of one sampled draw at the point l = 2."""
     sample = sample_spectral_model(n, seed=seed)
-    return compute_statistics(sample, l).Lambda
+    return compute_statistics(sample, 2.0).Lambda
 
 
 def check_lambda_law(
     n: int = 1000, trials: int = 400, var_rtol: float = 0.25
 ) -> CheckResult:
-    """Trace-error statistic at a fixed point matches its Gaussian law."""
-    l = 2.0  # the targets below are the law at this point
+    """Trace-error statistic at the point l = 2 matches its Gaussian law."""
     target_mean = (2.0 - math.sqrt(2.0)) / 4.0
     target_var = 0.25
     # two one-thread workers, as in _gate_trials
     seeds = range(40_000, 40_000 + trials)
-    vals = np.array(pool_map(2, _trace_error, repeat(n), repeat(l), seeds))
+    vals = np.array(pool_map(2, _trace_error, [n] * trials, seeds))
     mean, var = float(vals.mean()), float(vals.var(ddof=1))
     se = math.sqrt(var / trials)
     mean_ok = abs(mean - target_mean) <= 3.0 * se
@@ -208,10 +204,9 @@ def check_lambda_law(
     )
 
 
-def check_w_covariance(
-    n: int = 1000, trials: int = 400, rtol: float = 0.25
-) -> CheckResult:
+def check_w_covariance(n: int = 1000, trials: int = 400) -> CheckResult:
     """Location-statistic covariance vs its limit at the h=1, beta=1 point."""
+    rtol = 0.25
     _, params, records = _gate_trials("sphere", 1.0, n, trials, 50_000)
     w = [(r.W_N, r.Wprime_N) for r in records if r.W_N is not None]
     emp = np.cov(np.array(w).T, ddof=1)
@@ -227,23 +222,22 @@ def check_w_covariance(
 
 def _residual_medians(
     model: str, sizes: tuple[int, ...], trials: int, seed_base: int
-) -> list[float]:
-    """Median |residual| at each size, over the draws that have statistics."""
-    runs = [_gate_trials(model, 1.0, n, trials, seed_base)[2] for n in sizes]
-    return [
-        float(np.median([abs(r.residual) for r in rs if r.residual is not None]))
-        for rs in runs
+) -> tuple[bool, str]:
+    """Whether the median |residual| falls strictly over ``sizes``, and the medians as text."""
+    medians = [
+        float(np.median([abs(r.residual) for r in records if r.residual is not None]))
+        for records in (_gate_trials(model, 1.0, n, trials, seed_base)[2] for n in sizes)
     ]
+    decreasing = all(a > b for a, b in zip(medians, medians[1:]))
+    return decreasing, ", ".join(f"n={n}: {m:.3f}" for n, m in zip(sizes, medians))
 
 
 def check_sphere_residual_trend(
     sizes: tuple[int, ...] = (250, 500, 1000), trials: int = 100
 ) -> CheckResult:
     """Median second-order sphere residual decreases with n."""
-    medians = _residual_medians("sphere", sizes, trials, 60_000)
-    decreasing = all(a > b for a, b in zip(medians, medians[1:]))
-    pairs = ", ".join(f"n={n}: {m:.3f}" for n, m in zip(sizes, medians))
-    return CheckResult("sphere residual trend", decreasing, pairs)
+    decreasing, medians = _residual_medians("sphere", sizes, trials, 60_000)
+    return CheckResult("sphere residual trend", decreasing, medians)
 
 
 def check_ball_pipeline(
@@ -252,32 +246,20 @@ def check_ball_pipeline(
     """Exact radial maximizer plus decreasing ball residual medians."""
     lead = maximize_ball_theory(SpikeSpec.monomial(1.0, 1), 1.0)
     r2_err = abs(lead.r_hat**2 - 0.5)
-    medians = _residual_medians("ball", sizes, trials, 70_000)
-    decreasing = all(a > b for a, b in zip(medians, medians[1:]))
-    pairs = ", ".join(f"n={n}: {m:.3f}" for n, m in zip(sizes, medians))
+    decreasing, medians = _residual_medians("ball", sizes, trials, 70_000)
     return CheckResult(
         "ball pipeline",
         r2_err <= 1e-10 and decreasing,
-        f"|r^2 - 0.5| = {r2_err:.1e}; medians {pairs}",
+        f"|r^2 - 0.5| = {r2_err:.1e}; medians {medians}",
     )
 
 
 def _max_param_deviation(a, b) -> float:
     """Largest entrywise deviation between two constant sets, scaled for size."""
     worst = 0.0
-    for x, y in (
-        (a.kappa, b.kappa),
-        (a.var_U, b.var_U),
-        (a.var_Uprime, b.var_Uprime),
-        (a.cov_UUprime, b.cov_UUprime),
-        (a.lambda_mean, b.lambda_mean),
-        (a.lambda_var, b.lambda_var),
-        (a.h_ll, b.h_ll),
-    ):
-        worst = max(worst, abs(x - y) / max(1.0, abs(y)))
-    for x, y in ((a.G, b.G), (a.Sigma, b.Sigma), (a.w, b.w)):
-        scale = np.maximum(1.0, np.abs(y))
-        worst = max(worst, float(np.max(np.abs(x - y) / scale)))
+    for field in fields(FluctuationParams):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        worst = max(worst, float(np.max(np.abs(x - y) / np.maximum(1.0, np.abs(y)))))
     # entries of G_resid can be exact cancellations of large G and dual
     # contributions, so measure them against the ingredient magnitudes
     scale = np.maximum(1.0, np.maximum(np.abs(b.G_resid), np.abs(b.G)))
@@ -285,8 +267,9 @@ def _max_param_deviation(a, b) -> float:
     return worst
 
 
-def check_crossref_constants(pairs: int = 50, tol: float = 1e-10) -> CheckResult:
+def check_crossref_constants(pairs: int = 50) -> CheckResult:
     """Specialized closed-form constants vs the general machinery."""
+    tol = 1e-10
     rng = np.random.default_rng(88)
     worst = 0.0
     for k in (1, 2):
@@ -317,8 +300,9 @@ def check_crossref_constants(pairs: int = 50, tol: float = 1e-10) -> CheckResult
     )
 
 
-def check_phase_boundaries(tol: float = 1e-8, bracket: float = 0.01) -> CheckResult:
+def check_phase_boundaries() -> CheckResult:
     """Value ties at the critical temperature; alignment threshold brackets."""
+    tol, bracket = 1e-8, 0.01
     worst_tie = 0.0
     for k in (3, 4, 5):
         spike = SpikeSpec.monomial(1.0, k)

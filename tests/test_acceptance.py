@@ -2,8 +2,7 @@
 
 One test per criterion, each printing a single PASS/FAIL line with the
 measured numbers (visible under ``pytest -s`` or on failure).  The gate is
-Monte Carlo heavy and takes about three and a half minutes (200 s) on two
-cores.
+Monte Carlo heavy and takes about three minutes (184 s) on two cores.
 
 01  oracle equivalence             exact solver vs direct ascent witness
 02  leading-order concentration    ground state per coordinate near its limit

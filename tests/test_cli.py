@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from sklab.cli import (
     check_first_order_clt,
     check_lambda_law,
     check_leading_order_lln,
+    check_oracle_equivalence,
     check_phase_boundaries,
     check_sphere_residual_trend,
     check_w_covariance,
@@ -323,6 +325,13 @@ class TestChecks:
         names = [fn.__name__ for checks in SUITES.values() for fn, _ in checks]
         assert len(names) == len(set(names)) == 10
 
+    def test_check_parameters_are_the_quick_kwargs(self):
+        # a check's only parameters are what --quick sets; any other value is
+        # a constant in its body
+        for checks in SUITES.values():
+            for fn, kwargs in checks:
+                assert set(inspect.signature(fn).parameters) == set(kwargs), fn.__name__
+
     @pytest.mark.parametrize(
         "check, kwargs, detail",
         [
@@ -366,9 +375,22 @@ class TestChecks:
                 QUICK_KWARGS["check_phase_boundaries"],
                 "max value tie gap 0.0e+00 (tol 1e-08); alignment threshold brackets at ±1% hold",
             ),
+            (
+                check_clt_quadrature,
+                {"draws": 500},
+                "quadrature (-4.7e-18, 1.0000000000) vs (0, 1); "
+                "trace variance 0.9577 over 500 draws at n=200",
+            ),
         ],
-        ids=["02", "03", "04", "05", "06", "07", "08", "09"],
+        ids=["02", "03", "04", "05", "06", "07", "08", "09", "10"],
     )
     def test_gate_figures_at_reduced_size(self, check, kwargs, detail):
         # the checks' printed figures, pinned at reduced sizes
         assert check(**kwargs).detail == detail
+
+    def test_oracle_figure_at_reduced_size(self):
+        # check 01's detail ends in its wall time, which is left unpinned
+        detail = check_oracle_equivalence(**QUICK_KWARGS["check_oracle_equivalence"]).detail
+        assert detail.rsplit(",", 1)[0] == (
+            "max |reduced - direct|/n = 3.46e-12 over 20 instances (tol 1e-06"
+        )
