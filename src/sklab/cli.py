@@ -52,17 +52,21 @@ from .theory_engine import (
 )
 
 
+#: the spike forms of ``--spike``, as ``SpikeSpec.label`` prints them
+_SPIKE_FORMS = "monomial:K:H|polynomial:C0:C1:..."
+
+
 def parse_spike(text: str) -> SpikeSpec:
-    """Parse ``monomial:K:H`` into a spike profile."""
-    parts = text.split(":")
-    if len(parts) != 3 or parts[0] != "monomial":
-        raise argparse.ArgumentTypeError(
-            f"expected spike format monomial:K:H, got {text!r}"
-        )
+    """Parse ``monomial:K:H`` or ``polynomial:C0:C1:...``, the forms ``SpikeSpec.label`` prints."""
+    kind, *args = text.split(":")
     try:
-        return SpikeSpec.monomial(float(parts[2]), int(parts[1]))
+        if kind == "monomial" and len(args) == 2:
+            return SpikeSpec.monomial(float(args[1]), int(args[0]))
+        if kind == "polynomial":
+            return SpikeSpec.polynomial([float(c) for c in args])
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from err
+    raise argparse.ArgumentTypeError(f"expected spike format {_SPIKE_FORMS}, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -521,8 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_theory = sub.add_parser("theory", help="limiting maximizer and constants")
-    p_theory.add_argument("--spike", type=parse_spike, required=True,
-                          metavar="monomial:K:H")
+    p_theory.add_argument("--spike", type=parse_spike, required=True, metavar=_SPIKE_FORMS)
     p_theory.add_argument("--beta", type=float, required=True)
     p_theory.add_argument("--ball", action="store_true",
                           help="radial (TAP) problem instead of the sphere")
@@ -536,7 +539,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--trials", type=int)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--beta", type=float)
-    p_sim.add_argument("--spike", type=parse_spike, metavar="monomial:K:H")
+    p_sim.add_argument("--spike", type=parse_spike, metavar=_SPIKE_FORMS)
     p_sim.add_argument("--output", help="output base path")
     p_sim.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sim.add_argument("--parallelism", type=int, default=1)

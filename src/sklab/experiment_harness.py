@@ -94,13 +94,11 @@ def derive_seed(master: int, trial_index: int) -> int:
 class ExperimentConfig:
     """Declarative description of a Monte Carlo campaign.
 
-    Campaigns take monomial spikes only, by choice: the spike format also
-    spells polynomials (``{"kind": "polynomial", "coeffs": [...]}``), but
-    opening campaigns to them is ROADMAP item 4.  ``radial`` is
-    derived: the TAP radial term of the campaign's own ``beta`` for the
-    ball, None for the sphere.  The config and sidecar formats still record
-    it, so an explicit value is accepted when it equals the derived one;
-    the solvers take the interval from ``beta`` and never read it.
+    ``spike`` is any ``SpikeSpec``.  ``radial`` is derived: the TAP radial
+    term of the campaign's own ``beta`` for the ball, None for the sphere.
+    The config and sidecar formats still record it, so an explicit value is
+    accepted when it equals the derived one; the solvers take the interval
+    from ``beta`` and never read it.
     The format also records ``"sampling_mode": "invariance"``, the one
     sampler; ``from_dict`` rejects any other value.
     """
@@ -124,8 +122,6 @@ class ExperimentConfig:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         check_beta(self.beta)
-        if self.spike.kind != "monomial":
-            raise ValueError("campaign configs support monomial spikes only")
         derived = RadialSpec.tap(self.beta) if self.model == "ball" else None
         if self.radial is None:
             self.radial = derived
@@ -170,9 +166,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"unsupported config schema version {version!r} (expected {SCHEMA_VERSION})"
             )
-        spike_d = _require_object(_required(data, "spike"), "spike")
-        if spike_d.get("kind") != "monomial":
-            raise ValueError("campaign configs support monomial spikes only")
+        spike = _read_spike(_require_object(_required(data, "spike"), "spike"))
         radial_d = data.get("radial")
         if radial_d is not None and _require_object(radial_d, "radial").get("kind") != "tap":
             raise ValueError("campaign configs support the tap radial term only")
@@ -185,9 +179,7 @@ class ExperimentConfig:
             trials=_required(data, "trials", kind=int),
             master_seed=_required(data, "master_seed", kind=int),
             beta=_required(data, "beta", kind=float),
-            spike=SpikeSpec.monomial(
-                _required(spike_d, "h", "spike.", float), _required(spike_d, "k", "spike.", int)
-            ),
+            spike=spike,
             radial=(
                 None if radial_d is None
                 else RadialSpec.tap(_required(radial_d, "beta", "radial.", float))
@@ -196,6 +188,21 @@ class ExperimentConfig:
             output_format=data.get("output_format", "csv"),
             parallelism=_number(data.get("parallelism", 1), "parallelism", int),
         )
+
+
+def _read_spike(data: dict) -> SpikeSpec:
+    """The spike of a config, in either form that ``SpikeSpec.to_dict`` writes."""
+    kind = data.get("kind")
+    if kind == "monomial":
+        h, k = _required(data, "h", "spike.", float), _required(data, "k", "spike.", int)
+        return SpikeSpec.monomial(h, k)
+    if kind != "polynomial":
+        raise ValueError(f"unknown spike kind {kind!r}")
+    coeffs = _required(data, "coeffs", "spike.")
+    if not isinstance(coeffs, list):
+        raise ValueError(f"config 'spike.coeffs' must be a list of numbers, got {coeffs!r}")
+    return SpikeSpec.polynomial(
+        [_number(c, f"spike.coeffs[{i}]", float) for i, c in enumerate(coeffs)])
 
 
 def _require_object(value, name: str) -> dict:

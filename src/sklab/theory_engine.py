@@ -73,7 +73,7 @@ class InapplicableRegimeError(RuntimeError):
 # ---------------------------------------------------------------------------
 # Spike profile and TAP radial term
 
-#: largest monomial degree: the degree-k closed forms raise numbers to powers
+#: largest spike degree: the degree-k closed forms raise numbers to powers
 #: near k, which divide by zero from about k = 48 and overflow from k = 257
 MAX_DEGREE = 32
 
@@ -97,9 +97,9 @@ class SpikeSpec:
 
     ``coeffs`` lists them in ascending powers.  ``SpikeSpec.monomial(h, k)``
     builds ``f(x) = h x^k``, which the limit theory solves in closed form;
-    ``SpikeSpec.polynomial(coeffs)`` builds any polynomial, which always
-    takes the numeric limit paths.  Derivatives are exact, and a spike is
-    plain numbers, so it pickles and serializes.
+    ``SpikeSpec.polynomial(coeffs)`` builds any polynomial of degree at most
+    ``MAX_DEGREE``, which always takes the numeric limit paths.  Derivatives
+    are exact, and a spike is plain numbers, so it pickles and serializes.
     """
 
     kind: Literal["monomial", "polynomial"]
@@ -115,9 +115,9 @@ class SpikeSpec:
     @classmethod
     def polynomial(cls, coeffs) -> "SpikeSpec":
         coeffs = tuple(float(c) for c in coeffs)
-        if not coeffs or not all(math.isfinite(c) for c in coeffs):
-            raise ValueError(f"polynomial coefficients must be finite and non-empty, "
-                             f"got {list(coeffs)}")
+        if not 1 <= len(coeffs) <= MAX_DEGREE + 1 or not all(map(math.isfinite, coeffs)):
+            raise ValueError(f"polynomial coefficients must be 1..{MAX_DEGREE + 1} finite "
+                             f"numbers, got {list(coeffs)}")
         return cls(kind="polynomial", coeffs=coeffs)
 
     @property

@@ -54,10 +54,15 @@ class TestParseSpike:
         assert spike.kind == "monomial"
         assert spike.k == 2
         assert spike.h == 1.5
+        # either form that SpikeSpec.label prints reads back
+        for spike in (SpikeSpec.monomial(1.5, 2), SpikeSpec.polynomial([0, 0.8, 0, 0.3]),
+                      SpikeSpec.polynomial([2.5])):
+            assert parse_spike(spike.label()) == spike
 
     @pytest.mark.parametrize(
         "text",
-        ["gaussian:1:1", "monomial:1", "monomial:1:1:1", "monomial:0:1", "monomial:33:1"],
+        ["gaussian:1:1", "monomial:1", "monomial:1:1:1", "monomial:0:1", "monomial:33:1",
+         "polynomial", "polynomial:", "polynomial:a", "polynomial" + ":1" * 34],
     )
     def test_rejects_malformed(self, text):
         with pytest.raises(argparse.ArgumentTypeError):
@@ -167,7 +172,8 @@ class TestSimulateCommand:
         },
     }
     # JSON values of the wrong type: integers are due for n, trials,
-    # master_seed, parallelism and spike.k, numbers for the betas and spike.h
+    # master_seed, parallelism and spike.k, numbers for the betas and spike.h,
+    # and a non-empty list of numbers for spike.coeffs
     _SPHERE = {"schema_version": 1, "model": "sphere", "n": 40, "trials": 2,
                "master_seed": 1, "beta": 1.0, "spike": {"kind": "monomial", "h": 1.0, "k": 1}}
     _BALL = {**_SPHERE, "model": "ball"}
@@ -183,8 +189,15 @@ class TestSimulateCommand:
         "string_k.json": {**_SPHERE, "spike": {"kind": "monomial", "h": 1.0, "k": "1"}},
         "float_k.json": {**_SPHERE, "spike": {"kind": "monomial", "h": 1.0, "k": 1.0}},
         "string_radial_beta.json": {**_BALL, "radial": {"kind": "tap", "beta": "1.0"}},
+        "string_coeffs.json": {**_SPHERE, "spike": {"kind": "polynomial", "coeffs": "0,1"}},
+        "empty_coeffs.json": {**_SPHERE, "spike": {"kind": "polynomial", "coeffs": []}},
+        "bool_coeff.json": {**_SPHERE, "spike": {"kind": "polynomial", "coeffs": [True]}},
+        "string_coeff.json": {**_SPHERE, "spike": {"kind": "polynomial", "coeffs": ["1"]}},
+        "null_coeff.json": {**_SPHERE, "spike": {"kind": "polynomial", "coeffs": [None]}},
         # out of range, or no longer a campaign setting
         "degree_33.json": {**_SPHERE, "spike": {"kind": "monomial", "h": 1.0, "k": 33}},
+        "coeffs_34.json": {**_SPHERE, "spike": {"kind": "polynomial", "coeffs": [1.0] * 34}},
+        "gaussian.json": {**_SPHERE, "spike": {"kind": "gaussian", "h": 1.0, "k": 1}},
         "rotate.json": {**_SPHERE, "sampling_mode": "rotate"},
     }
 
@@ -311,14 +324,6 @@ class TestChecks:
 
     def test_crossref_constants(self):
         result = check_crossref_constants(pairs=5)
-        assert result.passed, result.detail
-
-    def test_phase_boundaries(self):
-        result = check_phase_boundaries()
-        assert result.passed, result.detail
-
-    def test_quadrature_quick(self):
-        result = check_clt_quadrature(draws=500)
         assert result.passed, result.detail
 
     def test_suites_cover_all_checks(self):

@@ -136,8 +136,13 @@ class TestConfig:
                 sphere_config(beta=beta)
         with pytest.raises(ValueError, match="model"):
             sphere_config(model="torus")
-        with pytest.raises(ValueError, match="monomial"):
-            sphere_config(spike=SpikeSpec.polynomial([0, 1]))
+        # a polynomial spike is no error: campaigns take every spike SpikeSpec builds
+        assert sphere_config(spike=SpikeSpec.polynomial([0, 1])).spike.kind == "polynomial"
+
+    @pytest.mark.parametrize("model", ["sphere", "ball"])
+    def test_polynomial_spikes_round_trip(self, model):
+        config = sphere_config(model=model, spike=SpikeSpec.polynomial([0, 0.8, 0, 0.3]))
+        assert ExperimentConfig.from_dict(config.to_dict()) == config
 
     def test_radial_term_is_derived(self):
         assert sphere_config().radial is None

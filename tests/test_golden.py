@@ -37,6 +37,10 @@ COMMANDS = [
     ["simulate", "--model", "ball", "--n", "200", "--trials", "6", "--seed", "29",
      "--beta", "0.5", "--spike", "monomial:1:1", "--output", "{out}/ball_beta05",
      "--format", "json", "--parallelism", "2"],
+    # a non-monomial spike takes the numeric limit paths
+    ["simulate", "--model", "ball", "--n", "200", "--trials", "6", "--seed", "29",
+     "--beta", "1", "--spike", "polynomial:0:0.8:0:0.3", "--output", "{out}/ball_poly",
+     "--format", "json", "--parallelism", "2"],
     ["phase", "--k", "4", "--h-min", "0.5", "--h-max", "2.5", "--h-steps", "5",
      "--beta-min", "0.5", "--beta-max", "2", "--beta-steps", "4", "--output", "{out}/phase.csv"],
 ]
@@ -55,6 +59,14 @@ THEORY = {
         for k in (1, 2, 3, 4)
         for h in ("1.0", "1.5")
     ],
+    # the numeric limit paths, away from critical-coupling ties, where they and
+    # the closed forms report different tied states; 0:1.5 is monomial:1:1.5's twin
+    "theory_polynomial.json": [
+        ["theory", "--spike", spike, "--beta", beta, "--json", *ball]
+        for spike in ("polynomial:0:0.8:0:0.3", "polynomial:0:0.5:1")
+        for ball in ([], ["--ball"])
+        for beta in ("1", "0.5")
+    ] + [["theory", "--spike", "polynomial:0:1.5", "--beta", "1", "--json"]],
 }
 
 
@@ -81,7 +93,7 @@ def produce(out: str) -> None:
 
 FILES = [
     "sphere.csv", "sphere.summary.json", "ball.json", "ball_beta05.json", "phase.csv",
-    "theory.json", "theory_ball_beta05.json",
+    "theory.json", "theory_ball_beta05.json", "ball_poly.json", "theory_polynomial.json",
 ]
 
 

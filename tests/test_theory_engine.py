@@ -215,7 +215,9 @@ def test_polynomial_derivatives_are_exact(coeffs, value, d1, d2):
 
 
 def test_polynomial_rejects_bad_coefficients():
-    for coeffs in ([], [0.0, math.nan], [math.inf]):
+    # MAX_DEGREE caps polynomials as it caps monomials
+    SpikeSpec.polynomial([1.0] * (MAX_DEGREE + 1))
+    for coeffs in ([], [0.0, math.nan], [math.inf], [1.0] * (MAX_DEGREE + 2)):
         with pytest.raises(ValueError, match="polynomial coefficients"):
             SpikeSpec.polynomial(coeffs)
 
