@@ -146,9 +146,11 @@ class SpikeSpec:
         return P.polyval(x, P.polyder(self.coeffs, 2))
 
     def label(self) -> str:
+        """``monomial:K:H`` or ``polynomial:C0:C1:...``; each number reads back exactly."""
+        num = lambda c: f"{c:g}" if float(f"{c:g}") == c else repr(c)
         if self.kind == "monomial":
-            return f"monomial:{self.k}:{self.h:g}"
-        return "polynomial:" + ":".join(f"{c:g}" for c in self.coeffs)
+            return f"monomial:{self.k}:{num(self.h)}"
+        return "polynomial:" + ":".join(map(num, self.coeffs))
 
     def to_dict(self) -> dict:
         if self.kind == "monomial":
@@ -520,7 +522,7 @@ def tap_threshold(k: int, beta: float) -> float:
     maximizer sits at the Plefka boundary with zero overlap.  Degree 1 spikes
     always align (``h_c = 0``); degree 2 gives ``max(1/2, beta/sqrt2)``; for
     degree >= 3 the threshold is a variational infimum over the Plefka
-    interval, evaluated on a 2001-point interior grid (margin 1e-6) and
+    interval, evaluated on a 2001-point grid of its ``search_interval`` and
     refined by golden-section search.
     """
     check_degree(k)
@@ -542,9 +544,7 @@ def tap_threshold(k: int, beta: float) -> float:
         num = f_val - float(g.value(r)) - 2.0 * b2 * r * r * one
         return num / core ** (k / 2.0) if num > 0.0 else math.inf
 
-    lo = math.sqrt(g.plefka_q) + 1e-6
-    hi = 1.0 - 1e-6
-    rs = np.linspace(lo, hi, 2001)
+    rs = np.linspace(*g.search_interval, 2001)
     neg = lambda r: -ratio(r)
     _, neg_best = grid_golden_max(neg, rs, np.array([neg(r) for r in rs]), top=1)
     return -neg_best
@@ -566,11 +566,14 @@ def _boundary_leading(beta: float, f: SpikeSpec, reason: str) -> LeadingOrder:
 def _maximize_ball_tap_monomial(f: SpikeSpec, beta: float) -> LeadingOrder:
     h, k = f.h, f.k
     q_p = RadialSpec.tap(beta).plefka_q
+    b2 = beta * beta
     if h <= 0.0:  # h < 0 at even k: _maximize mirrors the odd ones
         return _boundary_leading(beta, f, "zero-overlap boundary maximizer")
+    h_c = tap_threshold(k, beta)
+    if h <= h_c:
+        reason = "tied interior/boundary state" if h == h_c else "boundary maximizer"
+        return _boundary_leading(beta, f, reason)
     if k == 1:
-        b2 = beta * beta
-
         def slope(q: float) -> float:
             # derivative of sqrt(h^2 q + 2 b^2 q^2) + log(1-q)/2 + (b^2/2)(1-q)^2
             t = (h * h + 4.0 * b2 * q) / (2.0 * math.sqrt(h * h * q + 2.0 * b2 * q * q))
@@ -588,27 +591,17 @@ def _maximize_ball_tap_monomial(f: SpikeSpec, beta: float) -> LeadingOrder:
             "single", r_hat=r_hat,
         )
     if k == 2:
-        if h <= 0.5 or beta >= SQRT2 * h:
-            reason = (
-                "tied interior/boundary state"
-                if beta == SQRT2 * h and h > 0.5
-                else "zero-overlap boundary maximizer"
-            )
-            return _boundary_leading(beta, f, reason)
+        # an ulp above h_c the radicand can round to zero or below it
+        a = math.sqrt(max(1.0 - b2 / (2.0 * h * h), 0.0))
+        if a == 0.0:
+            return _boundary_leading(beta, f, "tied interior/boundary state")
         r_hat = math.sqrt(1.0 - 1.0 / (2.0 * h))
-        a = math.sqrt(1.0 - beta * beta / (2.0 * h * h))
         l_hat, z_hat = _geometry(a)
-        value = (beta * beta / (8.0 * h * h)) * (4.0 * h - 1.0) + h - 0.5 * (
+        value = (b2 / (8.0 * h * h)) * (4.0 * h - 1.0) + h - 0.5 * (
             1.0 + math.log(2.0 * h)
         )
         return LeadingOrder(a, l_hat, z_hat, value, "pair", r_hat=r_hat)
     # degree >= 3
-    h_c = tap_threshold(k, beta)
-    if h <= h_c:
-        reason = "tied interior/boundary state" if h == h_c else "boundary maximizer"
-        return _boundary_leading(beta, f, reason)
-    b2 = beta * beta
-
     def t_of_q(q: float) -> float:
         core = q * (1.0 - 2.0 * b2 * (1.0 - q) ** 2)
         if core <= 0.0:
@@ -706,11 +699,12 @@ def _maximize_ball_numeric(f: SpikeSpec, beta: float) -> LeadingOrder:
 def maximize_ball_theory(f: SpikeSpec, beta: float) -> LeadingOrder:
     """Global maximizer of the limiting radial functional, the TAP free energy at ``beta``.
 
-    Closed-form dispatch for monomial spikes (scalar root-finding per degree,
-    with the ``tap_threshold`` phase check).  Other polynomial spikes take the
-    numeric path: a 201-point overlap grid, each point maximized over the
-    radius by :func:`radial_search`, refined by golden-section search and
-    Newton polish; it never calls ``tap_threshold``.  Boundary or zero-overlap
+    Closed-form dispatch for monomial spikes: every degree takes its phase
+    from ``tap_threshold`` (boundary below it, a tie at it), then solves a
+    scalar root per degree.  Other polynomial spikes take the numeric path:
+    a 201-point overlap grid, each point maximized over the radius by
+    :func:`radial_search`, refined by golden-section search and Newton
+    polish; it never calls ``tap_threshold``.  Boundary or zero-overlap
     maximizers are returned flagged; at a tie both paths report the Plefka
     state.
     """

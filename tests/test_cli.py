@@ -56,7 +56,8 @@ class TestParseSpike:
         assert spike.h == 1.5
         # either form that SpikeSpec.label prints reads back
         for spike in (SpikeSpec.monomial(1.5, 2), SpikeSpec.polynomial([0, 0.8, 0, 0.3]),
-                      SpikeSpec.polynomial([2.5])):
+                      SpikeSpec.polynomial([2.5]), SpikeSpec.polynomial([0.1234567]),
+                      SpikeSpec.monomial(2.626062280277483, 2)):
             assert parse_spike(spike.label()) == spike
 
     @pytest.mark.parametrize(
@@ -94,6 +95,13 @@ class TestTheoryCommand:
         assert main(["theory", "--spike", "monomial:3:1", "--beta", "2"]) == 0
         out = capsys.readouterr().out
         assert "unavailable" in out
+
+    def test_ball_quadratic_spike_at_the_tie(self, capsys):
+        # 1 - beta^2/(2h^2) rounds below zero here; this raised ValueError
+        rc = main(["theory", "--ball", "--spike", "monomial:2:2.626062280277483",
+                   "--beta", "3.7138128924048326"])
+        assert rc == 0
+        assert "note: tied interior/boundary state" in capsys.readouterr().out
 
     def test_out_of_range_beta_rejected(self, capsys):
         for beta, ball in (("0", ["--ball"]), ("nan", []), ("inf", ["--ball"])):
@@ -139,6 +147,16 @@ class TestSimulateCommand:
         )
         assert rc == 0
         assert "valid: 2" in capsys.readouterr().out
+
+    def test_ball_quadratic_spike_at_the_tie(self, capsys, tmp_path):
+        # an ulp from beta = sqrt2 h: this raised ZeroDivisionError in ball_saddle
+        base = tmp_path / "tie"
+        rc = main(["simulate", "--model", "ball", "--n", "20", "--trials", "2",
+                   "--seed", "1", "--beta", "3.81877288770009",
+                   "--spike", "monomial:2:2.7002802047040677", "--output", str(base)])
+        assert rc == 0
+        doc = json.loads((tmp_path / "tie.summary.json").read_text())
+        assert doc["summary"]["residual_reason"] == "tied interior/boundary state"
 
     def test_missing_flags_rejected(self, capsys):
         rc = main(["simulate", "--model", "sphere", "--n", "40"])

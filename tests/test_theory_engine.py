@@ -483,9 +483,10 @@ def test_tap_threshold_low_degrees():
 
 def test_tap_threshold_brackets_phase_change():
     # crossing h_c flips the maximizer between boundary and interior; the
-    # closed form decides the phase with tap_threshold itself, so the numeric
-    # path, which never calls it, witnesses each bracket too
-    for k in (3, 4):
+    # closed form decides every degree's phase with tap_threshold itself (at
+    # k = 2 its closed form max(1/2, beta/sqrt2)), so the numeric path, which
+    # never calls it, witnesses each bracket too
+    for k in (2, 3, 4):
         for b in (0.6, 1.0):
             hc = tap_threshold(k, b)
             for h, applicable in ((hc * 0.99, False), (hc * 1.01, True)):
@@ -495,6 +496,51 @@ def test_tap_threshold_brackets_phase_change():
                     assert lead.applicable == applicable
                     if applicable:
                         assert lead.alpha_hat > 0
+
+
+@pytest.mark.parametrize("h, beta", [
+    (2.626062280277483, 3.7138128924048326),  # 1 - beta^2/(2h^2) rounds below zero
+    (2.7002802047040677, 3.81877288770009),  # and to zero exactly here
+])
+def test_ball_quadratic_spike_at_the_tie_is_flagged(h, beta):
+    # both pairs sit an ulp from beta = sqrt2 h; the first raised ValueError
+    # in math.sqrt, the second returned an applicable pair at overlap 0 on
+    # which ball_saddle divided by zero
+    f = SpikeSpec.monomial(h, 2)
+    lo = maximize_ball_theory(f, beta)
+    assert (lo.alpha_hat, lo.applicable, lo.reason) == (
+        0.0, False, "tied interior/boundary state")
+    with pytest.raises(InapplicableRegimeError):
+        fluct_params_ball(f, beta)
+
+
+def _ulps(x: float, n: int) -> float:
+    for _ in range(abs(n)):
+        x = math.nextafter(x, math.copysign(math.inf, n))
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(h=st.floats(0.05, 5.0), b=st.floats(0.05, 5.0),
+       anchor=st.sampled_from(["sqrt2 h", "tap_threshold", "h = 1/2"]),
+       n=st.integers(-3, 3), ball=st.booleans())
+def test_quadratic_spike_near_its_ties_returns_or_flags(h, b, anchor, n, ball):
+    # within 3 ulps of each degree-2 phase boundary both models either return
+    # a state or raise InapplicableRegimeError, nothing else
+    if anchor == "sqrt2 h":
+        b = _ulps(SQRT2 * h, n)
+    elif anchor == "tap_threshold":
+        h = _ulps(tap_threshold(2, b), n)
+    else:
+        h = _ulps(0.5, n)
+    f = SpikeSpec.monomial(h, 2)
+    maximize, fluct = ((maximize_ball_theory, fluct_params_ball) if ball
+                       else (maximize_sphere_theory, fluct_params_sphere))
+    maximize(f, b)
+    try:
+        fluct(f, b)
+    except InapplicableRegimeError:
+        pass
 
 
 def test_tap_threshold_value_continuity():
